@@ -41,24 +41,63 @@ def _out_dir(args):
     return out
 
 
+def _mode(value):
+    if value not in ("discrete", "euler"):
+        raise ValueError(f"expected 'discrete' or 'euler', got {value!r}")
+    return value
+
+
+def _parse_lambdas(raw):
+    if raw is None:
+        raise ConfigError("missing --lambda list")
+    if isinstance(raw, str):
+        tokens = [tok for tok in raw.split(",") if tok.strip()]
+    elif isinstance(raw, (list, tuple)):
+        tokens = raw
+    else:
+        tokens = [raw]
+    try:
+        values = [float(tok) for tok in tokens]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad --lambda list {raw!r}: {exc}") from exc
+    if not values:
+        raise ConfigError("empty --lambda list")
+    for v in values:
+        if not 0.0 < v <= 1.0:
+            raise ConfigError(f"step sizes must lie in (0, 1], got {v}")
+    return values
+
+
+# Run-config keys: (JSON key, argument attribute, conversion of the JSON value).
+_RUN_SETTINGS = (
+    ("instance", "instance", None),
+    ("mode", "mode", _mode),
+    ("lambda", "lam", _parse_lambdas),
+    ("max_iter", "max_iter", int),
+    ("tol_residual", "tol_residual", float),
+    ("tol_step", "tol_step", float),
+    ("seed", "seed", int),
+    ("out", "out", str),
+    ("samples", "samples", int),
+)
+
+
 def _merge_config(args):
-    """Overlay --config file values under explicit CLI flags."""
+    """Overlay the --config values the command has flags for under explicit flags."""
     if not args.config:
         return
     doc = load_json(args.config)
-    for key, attr in [
-        ("instance", "instance"),
-        ("mode", "mode"),
-        ("lambda", "lam"),
-        ("max_iter", "max_iter"),
-        ("tol_residual", "tol_residual"),
-        ("tol_step", "tol_step"),
-        ("seed", "seed"),
-        ("out", "out"),
-        ("samples", "samples"),
-    ]:
-        if key in doc and getattr(args, attr, None) is None:
-            setattr(args, attr, doc[key])
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{args.config}: run configuration must be an object")
+    for key, attr, convert in _RUN_SETTINGS:
+        if key in doc and hasattr(args, attr) and getattr(args, attr) is None:
+            value = doc[key]
+            if convert is not None:
+                try:
+                    value = convert(value)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ConfigError(f"{args.config}: bad {key!r}: {exc}") from exc
+            setattr(args, attr, value)
 
 
 def _resolve(args):
@@ -81,15 +120,14 @@ def cmd_solve(args):
     lam = args.lam
     if mode == "euler" and lam is None:
         raise ConfigError("euler mode requires --lambda")
-    max_iter = int(args.max_iter if args.max_iter is not None else 100_000)
-    tol_residual = args.tol_residual if args.tol_residual is not None else 1e-9
-    tol_step = args.tol_step if args.tol_step is not None else 1e-12
-    for name, val in [
-        ("max-iter", max_iter),
-        ("tol-residual", tol_residual),
-        ("tol-step", tol_step),
-    ]:
-        _positive(name, val)
+    # only the settings given are passed on; dynamics.solve holds the defaults
+    stops = {
+        key: getattr(args, key)
+        for key in ("max_iter", "tol_residual", "tol_step")
+        if getattr(args, key) is not None
+    }
+    for key, val in stops.items():
+        _positive(key.replace("_", "-"), val)
 
     lam_value = None
     if mode == "euler":
@@ -102,11 +140,9 @@ def cmd_solve(args):
         named.instance,
         mode=mode,
         lam=lam_value,
-        max_iter=max_iter,
-        tol_residual=tol_residual,
-        tol_step=tol_step,
         z=named.z,
         label=named.tag,
+        **stops,
     )
     out = _out_dir(args)
     csv_path = out / f"{named.tag}_trajectory.csv"
@@ -122,26 +158,6 @@ def cmd_solve(args):
     )
     log.info("wrote %s and %s", csv_path, summary_path)
     return EXIT_OK if traj.termination in ("residual", "step") else EXIT_INCOMPLETE
-
-
-def _parse_lambdas(raw):
-    if raw is None:
-        raise ConfigError("missing --lambda list")
-    if isinstance(raw, (int, float)):
-        values = [float(raw)]
-    elif isinstance(raw, (list, tuple)):
-        values = [float(v) for v in raw]
-    else:
-        try:
-            values = [float(tok) for tok in str(raw).split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --lambda list {raw!r}: {exc}") from exc
-    if not values:
-        raise ConfigError("empty --lambda list")
-    for v in values:
-        if not 0.0 < v <= 1.0:
-            raise ConfigError(f"step sizes must lie in (0, 1], got {v}")
-    return values
 
 
 def cmd_integrate(args):
@@ -214,10 +230,8 @@ def _integration_start(args, named):
             return as_vector(json.loads(args.x0))
         except (json.JSONDecodeError, ValueError) as exc:
             raise ConfigError(f"bad --x0: {exc}") from exc
-    if named.tag == "lens-drift":
-        return np.array([0.0, -1.0])
-    if named.tag == "box-flow":
-        return np.array([0.0, 0.0])
+    if named.start is not None:
+        return named.start.copy()
     if named.cap is not None:
         return named.cap.z.copy()
     raise ConfigError(f"instance {named.tag!r} needs an explicit --x0")

@@ -23,9 +23,8 @@ import json
 
 import numpy as np
 
-from .geometry import Cap
 from .operators import LinearMap, operator_from_config
-from .problems import NamedInstance, get_instance
+from .problems import DEFAULT_FLOOR_FRACTION, NamedInstance, get_instance, make_cap
 from .space import PDPoint
 from .splitting import ProblemInstance
 
@@ -78,17 +77,19 @@ def instance_from_doc(doc, path="<config>"):
     z = None
     cap = None
     if doc.get("z") is not None:
-        z = np.asarray(doc["z"], dtype=float)
+        try:
+            z = np.asarray(doc["z"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: bad solution 'z': {exc}") from exc
         if z.shape != (inst.dim,):
             raise ConfigError(
                 f"{path}: solution 'z' has shape {z.shape}, expected ({inst.dim},)"
             )
-        gap_sq = float(np.sum((inst.w.flat - z) ** 2))
-        frac = float(doc.get("floor_fraction", 0.25))
-        if gap_sq > 0.0:
-            if not 0.0 < frac < 1.0:
-                raise ConfigError(f"{path}: floor_fraction must be in (0, 1)")
-            cap = Cap(inst.w.flat, z, frac * gap_sq)
+        frac = doc.get("floor_fraction", DEFAULT_FLOOR_FRACTION)
+        try:
+            cap = make_cap(inst.w.flat, z, float(frac))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: bad floor_fraction {frac!r}: {exc}") from exc
     return NamedInstance(
         tag=str(doc.get("name", "custom")), instance=inst, cap=cap, z=z
     )

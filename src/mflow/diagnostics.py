@@ -33,6 +33,15 @@ __all__ = [
     "convergence_report",
 ]
 
+# Rejection sampling gives up after this many Sobol batches.
+SAMPLE_MAX_BATCHES = 64
+# Step fractions h at which check_cap_invariance tests the segment x + h F(x).
+INVARIANCE_STEPS = (0.25, 0.5, 0.75, 1.0)
+# check_strict_drift skips trajectory points this close to the solution.
+STRICT_DRIFT_EXCLUSION = 1e-8
+# Rounding allowance of convergence_report's tail-containment test.
+TAIL_SLACK = 1e-9
+
 
 @dataclass(eq=False)
 class AssumptionReport:
@@ -70,7 +79,7 @@ class AssumptionReport:
         }
 
 
-def sample_cap(cap, n_samples=512, seed=0, max_batches=64):
+def sample_cap(cap, n_samples=512, seed=0):
     """Low-discrepancy points inside the cap.
 
     A scrambled Sobol stream fills the bounding box of the cap's ball;
@@ -83,7 +92,7 @@ def sample_cap(cap, n_samples=512, seed=0, max_batches=64):
     sobol = qmc.Sobol(d=dim, scramble=True, seed=seed)
     batch_size = max(n_samples, 64)
     kept = []
-    for _ in range(max_batches):
+    for _ in range(SAMPLE_MAX_BATCHES):
         with warnings.catch_warnings():
             # batch sizes here are not powers of two; the balance warning
             # does not matter for rejection sampling
@@ -151,17 +160,17 @@ def check_unique_zero(F, cap, z, samples, tol=GEOM_TOL):
     )
 
 
-def check_cap_invariance(F, cap, samples, h_grid=(0.25, 0.5, 0.75, 1.0), tol=GEOM_TOL):
-    """Check that segments ``x + h F(x)``, h in the grid, stay inside the cap.
+def check_cap_invariance(F, cap, samples, tol=GEOM_TOL):
+    """Check that the segments ``x + h F(x)`` stay inside the cap.
 
-    For each sample and each ``h`` the endpoint is tested against the cap's
-    ball (violation ``<z - y, w - y>``) and floor (violation
-    ``r - ||y - w||^2``); the larger of the two is reported.
+    For each sample and each ``h`` in :data:`INVARIANCE_STEPS` the endpoint
+    is tested against the cap's ball (violation ``<z - y, w - y>``) and
+    floor (violation ``r - ||y - w||^2``); the larger of the two is reported.
     """
     entries = []
     for x in samples:
         fx = as_vector(F(x))
-        for h in h_grid:
+        for h in INVARIANCE_STEPS:
             y = x + h * fx
             ball_viol = float((cap.z - y) @ (cap.w - y))
             floor_viol = cap.r - float(np.sum((y - cap.w) ** 2))
@@ -183,7 +192,7 @@ def check_cap_invariance(F, cap, samples, h_grid=(0.25, 0.5, 0.75, 1.0), tol=GEO
         tol,
         len(samples),
         entries,
-        notes=f"segment endpoints tested at h in {tuple(h_grid)}",
+        notes=f"segment endpoints tested at h in {INVARIANCE_STEPS}",
     )
 
 
@@ -200,18 +209,19 @@ def check_outward_drift(F, cap, samples, tol=GEOM_TOL):
     return _report("outward_drift", tol, len(samples), entries)
 
 
-def check_strict_drift(F, points, w, z, exclusion_radius=1e-8):
+def check_strict_drift(F, points, w, z):
     """Strict variant along a trajectory: ``<F(x), w - x> < 0`` away from ``z``.
 
-    ``points`` are trajectory records; those within ``exclusion_radius`` of
-    ``z`` are skipped (the inequality necessarily degenerates there).
+    ``points`` are trajectory records; those within
+    :data:`STRICT_DRIFT_EXCLUSION` of ``z`` are skipped (the inequality
+    necessarily degenerates there).
     """
     w = as_vector(w)
     z = as_vector(z)
     entries = []
     kept = 0
     for x in np.asarray(points, dtype=float):
-        if float(np.linalg.norm(x - z)) <= exclusion_radius:
+        if float(np.linalg.norm(x - z)) <= STRICT_DRIFT_EXCLUSION:
             continue
         kept += 1
         fx = as_vector(F(x))
@@ -293,13 +303,13 @@ def check_projection_conditions(builder, cap, samples, tol=GEOM_TOL):
     return reports
 
 
-def convergence_report(traj, z, w=None, eps=1e-4, slack=1e-9):
+def convergence_report(traj, z, w=None, eps=1e-4):
     """Summarize a run against a known solution ``z``.
 
     Reports the final error, the first iterate crossing each error decade,
     and whether the tail-containment property holds: once
     ``||x_n - w||^2 >= ||w - z||^2 - eps``, every later iterate satisfies
-    ``||x_m - z||^2 <= eps + slack``.
+    ``||x_m - z||^2 <= eps + TAIL_SLACK``.
     """
     z = as_vector(z)
     pts = traj.points
@@ -326,7 +336,7 @@ def convergence_report(traj, z, w=None, eps=1e-4, slack=1e-9):
         reached = dist_w_sq >= gap - eps
         if np.any(reached):
             crossing = int(np.argmax(reached))
-            tail_ok = bool(np.all(errs[crossing:] ** 2 <= eps + slack))
+            tail_ok = bool(np.all(errs[crossing:] ** 2 <= eps + TAIL_SLACK))
     return {
         "final_error": final_err,
         "iterations": traj.iterations,

@@ -34,7 +34,6 @@ __all__ = [
     "euler_nodes",
     "euler_eval",
     "euler_defect",
-    "projection_field",
     "build_field",
     "best_approx_iterate",
     "solve",
@@ -50,16 +49,15 @@ class NonFiniteError(RuntimeError):
 class VectorField:
     """Autonomous field ``x -> F(x)`` on flat vectors.
 
-    ``cap`` is the declared admissible region, ``bound`` a known sup of
-    ``||F||`` on it (both optional).  For relaxation fields of the form
-    ``F = G - Id``, ``target`` exposes ``G`` so that a unit Euler step can
-    land exactly on ``G(x)`` instead of computing ``x + (G(x) - x)``.
+    ``cap`` is the declared admissible region (optional).  For relaxation
+    fields of the form ``F = G - Id``, ``target`` exposes ``G`` so that a
+    unit Euler step can land exactly on ``G(x)`` instead of computing
+    ``x + (G(x) - x)``.
     """
 
     fn: callable
     dim: int
     cap: Cap = None
-    bound: float = None
     target: callable = None
 
     def __call__(self, x):
@@ -131,14 +129,14 @@ class Trajectory:
                 writer.writerow([f"{val:.17g}" for val in row])
 
 
-def euler_nodes(F, x0, lam, n_steps, check_cap=True):
+def euler_nodes(F, x0, lam, n_steps):
     """Euler recursion nodes ``c_0 = x0``, ``c_{k+1} = c_k + lam F(c_k)``.
 
-    ``lam`` must lie in (0, 1].  When the field declares a cap and
-    ``check_cap`` is set, nodes are classified against it and a warning is
-    emitted the first time one leaves; under the segment-invariance
-    assumption on the field this cannot happen, so the warning flags either
-    a field violating that assumption or numerical trouble.
+    ``lam`` must lie in (0, 1].  When the field declares a cap, nodes are
+    classified against it and a warning is emitted the first time one
+    leaves; under the segment-invariance assumption on the field this
+    cannot happen, so the warning flags either a field violating that
+    assumption or numerical trouble.
 
     Returns an array of shape ``(n_steps + 1, dim)``.
     """
@@ -147,7 +145,7 @@ def euler_nodes(F, x0, lam, n_steps, check_cap=True):
     x0 = as_vector(x0)
     nodes = np.empty((n_steps + 1, x0.shape[0]))
     nodes[0] = x0
-    cap = getattr(F, "cap", None) if check_cap else None
+    cap = getattr(F, "cap", None)
     # the floor exclusion only binds for runs started inside the admissible
     # cap; the discrete scheme legitimately starts at the anchor below it
     floor_binds = cap is not None and cap_membership(cap, x0) == INSIDE_DHAT
@@ -206,37 +204,11 @@ def euler_defect(F, nodes, lam, t, t0=0.0):
     return slope - as_vector(F(euler_eval(nodes, lam, t, t0)))
 
 
-def _kt_projection_step(inst, x_flat, w_flat=None):
+def _kt_projection_step(inst, x_flat, w_flat):
     """One discrete-scheme step from a flat vector: returns (Q, residual at x)."""
-    if w_flat is None:
-        w_flat = inst.w.flat
     tx_flat, resid = kt_apply_flat(inst, x_flat)
     q = haugazeau_projection(w_flat, x_flat, tx_flat)
     return q, resid
-
-
-def projection_field(T, w, cap=None):
-    """Flow field ``F(x) = Q(w, x, T x) - x`` for a fixed-point operator ``T``.
-
-    ``T`` acts on flat vectors.  The returned field carries ``target`` so a
-    unit Euler step reproduces the projection output exactly.
-    """
-    w = as_vector(w)
-
-    def target(x):
-        x = as_vector(x)
-        return haugazeau_projection(w, x, as_vector(T(x)))
-
-    bound = None
-    if cap is not None:
-        bound = 2.0 * cap.radius
-    return VectorField(
-        fn=lambda x: target(x) - as_vector(x),
-        dim=w.shape[0],
-        cap=cap,
-        bound=bound,
-        target=target,
-    )
 
 
 def build_field(inst, cap=None):
@@ -247,12 +219,10 @@ def build_field(inst, cap=None):
         q, _ = _kt_projection_step(inst, as_vector(x), w_flat)
         return q
 
-    bound = 2.0 * cap.radius if cap is not None else None
     return VectorField(
         fn=lambda x: target(x) - as_vector(x),
         dim=inst.dim,
         cap=cap,
-        bound=bound,
         target=target,
     )
 
@@ -265,21 +235,37 @@ def best_approx_iterate(inst, x):
     containment guarantees void.
     """
     if isinstance(x, PDPoint):
-        q, _ = _kt_projection_step(inst, x.flat)
+        q, _ = _kt_projection_step(inst, x.flat, inst.w.flat)
         return PDPoint.from_flat(q, inst.dim_p)
-    q, _ = _kt_projection_step(inst, as_vector(x))
+    q, _ = _kt_projection_step(inst, as_vector(x), inst.w.flat)
     return q
 
 
-def _make_trajectory(records, termination, mode, lam, label):
-    cols = np.array(records)
+def _trajectory(index, points, residual, w, z, termination, mode, lam, label):
+    """Records of a run from its iterates, with the diagnostic columns added.
+
+    ``points`` are the iterates in order.  ``norm_to_w`` is NaN without an
+    anchor ``w``, and ``fejer_slack`` is NaN unless both ``w`` and ``z`` are
+    given.
+    """
+    points = np.array(points, dtype=float)
+    if w is None:
+        dist_w_sq = np.full(points.shape[0], np.nan)
+    else:
+        dist_w_sq = np.sum((points - w) ** 2, axis=1)
+    if w is None or z is None:
+        slack = np.full(points.shape[0], np.nan)
+    else:
+        slack = np.sum((w - z) ** 2) - dist_w_sq - np.sum((points - z) ** 2, axis=1)
+    step_norm = np.zeros(points.shape[0])
+    step_norm[1:] = np.linalg.norm(np.diff(points, axis=0), axis=1)
     return Trajectory(
-        index=cols[:, 0].copy(),
-        points=cols[:, 1:-4].copy(),
-        norm_to_w=cols[:, -4].copy(),
-        fejer_slack=cols[:, -3].copy(),
-        residual=cols[:, -2].copy(),
-        step_norm=cols[:, -1].copy(),
+        index=np.asarray(index, dtype=float),
+        points=points,
+        norm_to_w=np.sqrt(dist_w_sq),
+        fejer_slack=slack,
+        residual=np.array(residual, dtype=float),
+        step_norm=step_norm,
         termination=termination,
         mode=mode,
         lam=lam,
@@ -341,30 +327,18 @@ def solve(
         raise ValueError("stop criteria must be strictly positive")
 
     w_flat = inst.w.flat
-    z_flat = None if z is None else as_vector(z)
-    zw_sq = None if z_flat is None else float(np.sum((w_flat - z_flat) ** 2))
-
-    def diag_row(idx, x, resid, step):
-        dist_w = float(np.linalg.norm(x - w_flat))
-        if z_flat is None:
-            slack = np.nan
-        else:
-            slack = zw_sq - dist_w**2 - float(np.sum((x - z_flat) ** 2))
-        return [idx, *x, dist_w, slack, resid, step]
-
     x = inst.x0.flat
-    prev = None
-    records = []
-    n = 0
+    points, residuals = [], []
     while True:
         q, resid = _kt_projection_step(inst, x, w_flat)
-        idx = float(n) if mode == "discrete" else n * lam
-        step_size = 0.0 if prev is None else float(np.linalg.norm(x - prev))
-        records.append(diag_row(idx, x, resid, step_size))
+        n = len(points)
+        step_small = n > 0 and float(np.linalg.norm(x - points[-1])) <= tol_step
+        points.append(x)
+        residuals.append(resid)
         if resid <= tol_residual:
             termination = "residual"
             break
-        if prev is not None and step_size <= tol_step:
+        if step_small:
             termination = "step"
             break
         if n >= max_iter:
@@ -372,41 +346,32 @@ def solve(
             break
         # lam = 1 collapses the relaxed step to the projection itself; taking
         # it directly keeps euler(1) and discrete bit-identical.
-        x_next = q if (mode == "discrete" or lam == 1.0) else x + lam * (q - x)
-        if not np.all(np.isfinite(x_next)):
+        x = q if (mode == "discrete" or lam == 1.0) else x + lam * (q - x)
+        if not np.all(np.isfinite(x)):
             raise NonFiniteError(f"iterate {n + 1} is not finite")
-        prev, x, n = x, x_next, n + 1
-    return _make_trajectory(records, termination, mode, lam, label)
+    index = np.arange(len(points)) * (1.0 if mode == "discrete" else lam)
+    z_flat = None if z is None else as_vector(z)
+    return _trajectory(
+        index, points, residuals, w_flat, z_flat, termination, mode, lam, label
+    )
 
 
-def integrate_field(F, x0, lam, t_final, t0=0.0, cap=None, z=None, label=""):
-    """Euler-integrate a raw field on ``[t0, t_final]`` and record diagnostics.
+def integrate_field(F, x0, lam, t_final, cap=None, z=None, label=""):
+    """Euler-integrate a raw field on ``[0, t_final]`` and record diagnostics.
 
     The residual column holds ``||F(x)||`` (stationarity measure).  ``cap``
     overrides the field's declared cap for the Fejer/distance columns; when
     neither provides anchors those columns are NaN.
     """
-    if t_final <= t0:
-        raise ValueError("t_final must exceed t0")
+    if t_final <= 0:
+        raise ValueError("t_final must be positive")
     cap = cap if cap is not None else getattr(F, "cap", None)
-    n_steps = int(np.ceil((t_final - t0) / lam - 1e-12))
+    n_steps = int(np.ceil(t_final / lam - 1e-12))
     nodes = euler_nodes(F, x0, lam, n_steps)
-
+    residuals = [float(np.linalg.norm(as_vector(F(x)))) for x in nodes]
     w_flat = cap.w if cap is not None else None
     z_flat = as_vector(z) if z is not None else (cap.z if cap is not None else None)
-    records = []
-    for k in range(n_steps + 1):
-        x = nodes[k]
-        fx = as_vector(F(x))
-        dist_w = np.nan if w_flat is None else float(np.linalg.norm(x - w_flat))
-        if w_flat is None or z_flat is None:
-            slack = np.nan
-        else:
-            slack = float(
-                np.sum((w_flat - z_flat) ** 2)
-                - np.sum((w_flat - x) ** 2)
-                - np.sum((x - z_flat) ** 2)
-            )
-        step = 0.0 if k == 0 else float(np.linalg.norm(nodes[k] - nodes[k - 1]))
-        records.append([t0 + k * lam, *x, dist_w, slack, float(np.linalg.norm(fx)), step])
-    return _make_trajectory(records, "t_final", "euler", lam, label)
+    index = np.arange(n_steps + 1) * lam
+    return _trajectory(
+        index, nodes, residuals, w_flat, z_flat, "t_final", "euler", lam, label
+    )

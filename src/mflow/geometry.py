@@ -98,7 +98,7 @@ def project_halfspace(hs, w):
     return w - (viol / float(hs.normal @ hs.normal)) * hs.normal
 
 
-def haugazeau_projection(w, b, c, return_case=False, tol=GEOM_TOL):
+def haugazeau_projection(w, b, c, return_case=False):
     """Project ``w`` onto ``H(w, b) & H(b, c)`` in closed form.
 
     With ``pi = <w-b, b-c>``, ``mu = ||w-b||^2``, ``nu = ||b-c||^2`` and
@@ -121,8 +121,6 @@ def haugazeau_projection(w, b, c, return_case=False, tol=GEOM_TOL):
         Equal-dimension points; ``w`` is the anchor being projected.
     return_case : bool, optional
         Also return the active case label ``"i" | "ii" | "iii"``.
-    tol : float, optional
-        Relative tolerance deciding when ``rho`` counts as zero.
 
     Returns
     -------
@@ -143,7 +141,7 @@ def haugazeau_projection(w, b, c, return_case=False, tol=GEOM_TOL):
 
     # rho >= 0 by Cauchy-Schwarz; rounding may leave a tiny signed residue.
     # Degenerate cuts (mu or nu zero) land here with pi = 0 exactly.
-    if rho <= tol * mu * nu:
+    if rho <= GEOM_TOL * mu * nu:
         if pi >= 0.0:
             out, case = c.copy(), "i"
         else:
@@ -238,18 +236,18 @@ class Cap:
         return 0.5 * float(np.linalg.norm(self.w - self.z))
 
 
-def cap_membership(cap, x, tol=GEOM_TOL):
+def cap_membership(cap, x):
     """Classify ``x`` against the cap.
 
     Returns :data:`INSIDE_DHAT` when both the ball test
-    ``<z - x, w - x> <= tol`` and the floor test ``||x - w||^2 >= r - tol``
-    hold, :data:`INSIDE_D_ONLY` when only the ball test holds, and
-    :data:`OUTSIDE` otherwise.
+    ``<z - x, w - x> <= GEOM_TOL`` and the floor test
+    ``||x - w||^2 >= r - GEOM_TOL`` hold, :data:`INSIDE_D_ONLY` when only
+    the ball test holds, and :data:`OUTSIDE` otherwise.
     """
     x = as_vector(x)
-    if float((cap.z - x) @ (cap.w - x)) > tol:
+    if float((cap.z - x) @ (cap.w - x)) > GEOM_TOL:
         return OUTSIDE
-    if float(np.sum((x - cap.w) ** 2)) < cap.r - tol:
+    if float(np.sum((x - cap.w) ** 2)) < cap.r - GEOM_TOL:
         return INSIDE_D_ONLY
     return INSIDE_DHAT
 

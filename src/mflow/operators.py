@@ -37,11 +37,10 @@ class MonotoneOperator:
     Subclasses implement ``resolvent(gamma, x)``.  ``dim`` is the operator's
     ambient dimension, or None for dimension-agnostic operators (separable
     per coordinate).  ``member(x, y)`` tests ``y in A(x)`` where an exact
-    graph test exists; ``has_member`` says whether it does.
+    graph test exists and raises NotImplementedError otherwise.
     """
 
     dim = None
-    has_member = False
 
     def resolvent(self, gamma, x):
         raise NotImplementedError
@@ -59,8 +58,6 @@ class MonotoneOperator:
 class Quadratic(MonotoneOperator):
     """Gradient of half the squared distance to ``b``: ``A(x) = x - b``."""
 
-    has_member = True
-
     def __init__(self, b):
         self.b = as_vector(b)
         self.b.setflags(write=False)
@@ -76,8 +73,6 @@ class Quadratic(MonotoneOperator):
 
 class L1(MonotoneOperator):
     """Subdifferential of ``weight * ||.||_1``; resolvent is soft thresholding."""
-
-    has_member = True
 
     def __init__(self, weight=1.0):
         if weight <= 0:
@@ -101,8 +96,6 @@ class L1(MonotoneOperator):
 
 class BoxNormalCone(MonotoneOperator):
     """Normal cone of the box ``[lower, upper]``; resolvent clamps."""
-
-    has_member = True
 
     def __init__(self, lower, upper):
         self.lower = as_vector(lower)
@@ -134,8 +127,6 @@ class BoxNormalCone(MonotoneOperator):
 
 class BallNormalCone(MonotoneOperator):
     """Normal cone of the closed ball ``B(center, radius)``; resolvent projects radially."""
-
-    has_member = True
 
     def __init__(self, center, radius):
         if radius <= 0:
@@ -173,8 +164,6 @@ class BallNormalCone(MonotoneOperator):
 class Zero(MonotoneOperator):
     """The zero operator; its resolvent is the identity."""
 
-    has_member = True
-
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
         return as_vector(x)
@@ -189,8 +178,6 @@ class LinearMonotone(MonotoneOperator):
     The resolvent solves the dense system ``(I + gamma M) y = x``; the
     factorization is cached per step size since problem sizes are small.
     """
-
-    has_member = True
 
     def __init__(self, matrix):
         M = np.array(matrix, dtype=float)

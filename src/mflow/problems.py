@@ -41,8 +41,9 @@ class NamedInstance:
 
     ``z`` is the known solution (flat), ``cap`` the admissible region built
     from the anchor pair.  Raw-field fixtures may carry an
-    ``extended_field`` (continuation beyond the cap) and closed-form
-    ``references``: pairs ``(label, t -> point)``.
+    ``extended_field`` (continuation beyond the cap), closed-form
+    ``references``: pairs ``(label, t -> point)``, and the ``start`` point
+    those references leave from.
     """
 
     tag: str
@@ -52,7 +53,7 @@ class NamedInstance:
     cap: Cap = None
     z: np.ndarray = None
     references: tuple = ()
-    notes: str = ""
+    start: np.ndarray = None
 
     @property
     def kind(self):
@@ -65,35 +66,30 @@ class NamedInstance:
         return self.field
 
 
-def _make_cap(w_flat, z_flat, floor_fraction):
+def make_cap(w_flat, z_flat, floor_fraction):
+    """The cap of the anchor pair with floor ``floor_fraction * ||w - z||^2``.
+
+    Returns None when ``w == z``: the anchor is then the solution and there
+    is no region to bound.
+    """
     gap_sq = float(np.sum((w_flat - z_flat) ** 2))
     if gap_sq == 0.0:
         return None
     return Cap(w_flat, z_flat, floor_fraction * gap_sq)
 
 
-def _finalize(tag, inst, z_flat, floor_fraction, notes=""):
+def _finalize(tag, inst, z_flat):
     resid = kt_residual(inst, z_flat)
     if resid > ORACLE_RESIDUAL_TOL:
         raise ValueError(
             f"instance {tag!r}: oracle fails the fixed-point residual "
             f"({resid:.3e} > {ORACLE_RESIDUAL_TOL})"
         )
-    cap = _make_cap(inst.w.flat, z_flat, floor_fraction)
-    return NamedInstance(tag=tag, instance=inst, cap=cap, z=z_flat, notes=notes)
+    cap = make_cap(inst.w.flat, z_flat, DEFAULT_FLOOR_FRACTION)
+    return NamedInstance(tag=tag, instance=inst, cap=cap, z=z_flat)
 
 
-def quadratic_instance(
-    p0,
-    q0,
-    L,
-    gamma=0.5,
-    mu=0.5,
-    w=None,
-    x0=None,
-    tag="quadratic",
-    floor_fraction=DEFAULT_FLOOR_FRACTION,
-):
+def quadratic_instance(p0, q0, L, gamma=0.5, mu=0.5, w=None, x0=None, tag="quadratic"):
     """Coupled quadratic blocks: ``A p = p - p0`` and ``B q = q - q0``.
 
     The solution solves the dense normal equations
@@ -117,7 +113,7 @@ def quadratic_instance(
     inst = ProblemInstance(
         A=Quadratic(p0), B=Quadratic(q0), L=L, gamma=gamma, mu=mu, w=w, x0=x0
     )
-    return _finalize(tag, inst, z_flat, floor_fraction)
+    return _finalize(tag, inst, z_flat)
 
 
 def _lasso_oracle(b, M, reg, tol=1e-11):
@@ -162,17 +158,7 @@ def _lasso_oracle(b, M, reg, tol=1e-11):
     raise RuntimeError("sign enumeration found no consistent pattern")
 
 
-def lasso_instance(
-    b,
-    L,
-    reg,
-    gamma=0.5,
-    mu=0.5,
-    w=None,
-    x0=None,
-    tag="lasso",
-    floor_fraction=DEFAULT_FLOOR_FRACTION,
-):
+def lasso_instance(b, L, reg, gamma=0.5, mu=0.5, w=None, x0=None, tag="lasso"):
     """Quadratic block coupled to an l1 block: ``A p = p - b``, ``B = reg * subdiff l1``.
 
     ``reg = 0`` degenerates to the unregularized minimum (the l1 block
@@ -190,7 +176,7 @@ def lasso_instance(
     x0 = w if x0 is None else x0
     B = Zero() if reg == 0 else L1(reg)
     inst = ProblemInstance(A=Quadratic(b), B=B, L=L, gamma=gamma, mu=mu, w=w, x0=x0)
-    return _finalize(tag, inst, z_flat, floor_fraction)
+    return _finalize(tag, inst, z_flat)
 
 
 def lens_drift():
@@ -212,8 +198,8 @@ def lens_drift():
         x = as_vector(x)
         return np.array([1.0 - x[0], 0.0])
 
-    fld = VectorField(fn=drift, dim=2, cap=cap, bound=1.5)
-    extended = VectorField(fn=drift, dim=2, cap=None, bound=None)
+    fld = VectorField(fn=drift, dim=2, cap=cap)
+    extended = VectorField(fn=drift, dim=2)
     reference = ("horizontal", lambda t: np.array([1.0 - np.exp(-t), -1.0]))
     return NamedInstance(
         tag="lens-drift",
@@ -222,8 +208,7 @@ def lens_drift():
         cap=cap,
         z=z,
         references=(reference,),
-        notes="segment invariance fails near (0, -1); start there for the "
-        "extended-field reference trajectory",
+        start=np.array([0.0, -1.0]),
     )
 
 
@@ -292,8 +277,8 @@ def box_flow():
         wgt = d_box / total
         return np.array([1.0 - x1, wgt * x1 + (1.0 - wgt) * (-x2)])
 
-    fld = VectorField(fn=contraction, dim=2, cap=cap, bound=2.0)
-    extended = VectorField(fn=extended_fn, dim=2, cap=None, bound=None)
+    fld = VectorField(fn=contraction, dim=2, cap=cap)
+    extended = VectorField(fn=extended_fn, dim=2)
     references = (
         ("branch", lambda t: np.array([1.0 - np.exp(-t), np.exp(-t) + t - 1.0])),
         ("flat", lambda t: np.array([1.0 - np.exp(-t), 0.0 * t])),
@@ -305,8 +290,7 @@ def box_flow():
         cap=cap,
         z=z,
         references=references,
-        notes="start at (0, 0); both reference trajectories solve the "
-        "extended system on [0, 1]",
+        start=np.array([0.0, 0.0]),
     )
 
 

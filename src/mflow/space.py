@@ -1,6 +1,7 @@
-"""Finite-dimensional inner-product space arithmetic and the primal-dual product space.
+"""Validation of input vectors and the primal-dual product space.
 
-Everything downstream works with plain 1-D float64 arrays.  The product
+Everything downstream works with plain 1-D float64 arrays, made by
+:func:`as_vector`.  The product
 space (primal block of dimension n, dual block of dimension m) is carried
 by :class:`PDPoint`, which flattens to a single vector of dimension n + m.
 """
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["as_vector", "inner", "norm", "axpy", "PDPoint"]
+__all__ = ["as_vector", "PDPoint"]
 
 
 def as_vector(x):
@@ -24,32 +25,6 @@ def as_vector(x):
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
-
-
-def _require_same_dim(a, b):
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
-def inner(a, b):
-    """Euclidean inner product of two equal-dimension vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _require_same_dim(a, b)
-    return float(a @ b)
-
-
-def norm(a):
-    """Euclidean norm, the square root of ``inner(a, a)``."""
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
-
-
-def axpy(alpha, x, y):
-    """Return ``alpha * x + y`` for equal-dimension vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _require_same_dim(x, y)
-    return alpha * x + y
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,14 +67,6 @@ class PDPoint:
         if not 0 < dim_p < flat.shape[0]:
             raise ValueError(f"dim_p={dim_p} incompatible with flat dim {flat.shape[0]}")
         return cls(flat[:dim_p], flat[dim_p:])
-
-    def inner(self, other):
-        # routed through the flat form so product and flat inner products
-        # agree bitwise, not merely up to reassociation error
-        return inner(self.flat, other.flat)
-
-    def norm(self):
-        return float(np.sqrt(self.inner(self)))
 
     def to_json_dict(self):
         return {"p": self.p.tolist(), "v": self.v.tolist()}

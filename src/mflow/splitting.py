@@ -123,10 +123,10 @@ def _kt_blocks(inst, p, v):
     return a, b, a_star, b_star, s_flat, eta
 
 
-def _cut_projection(x_flat, s_flat, eta, s_tol):
-    """Project ``x`` onto ``{h : <h, s> <= eta}``; identity below the cut threshold."""
+def _cut_projection(x_flat, s_flat, eta):
+    """Project ``x`` onto ``{h : <h, s> <= eta}``; identity when ``||s|| <= S_STAR_TOL``."""
     s_norm_sq = float(s_flat @ s_flat)
-    if np.sqrt(s_norm_sq) <= s_tol:
+    if np.sqrt(s_norm_sq) <= S_STAR_TOL:
         return x_flat, 0.0
     viol = float(x_flat @ s_flat) - eta
     if viol <= 0.0:
@@ -134,35 +134,33 @@ def _cut_projection(x_flat, s_flat, eta, s_tol):
     return x_flat - (viol / s_norm_sq) * s_flat, viol / np.sqrt(s_norm_sq)
 
 
-def kt_operator(inst, x, s_tol=S_STAR_TOL):
+def kt_operator(inst, x):
     """Evaluate the Kuhn-Tucker coupling operator at ``x``.
 
     ``Tx`` projects ``x`` onto the cut ``{h : <h, s_star> <= eta}`` produced
     by one resolvent call per block (see :func:`_kt_blocks`).  When the cut
-    normal vanishes (below ``s_tol``) the point is a fixed point and ``Tx``
-    is ``x`` itself; this is exactly the Kuhn-Tucker case, where eta also
-    vanishes.
+    normal vanishes (below :data:`S_STAR_TOL`) the point is a fixed point
+    and ``Tx`` is ``x`` itself; this is exactly the Kuhn-Tucker case, where
+    eta also vanishes.
 
     Parameters
     ----------
     inst : ProblemInstance
     x : PDPoint
         Evaluation point.
-    s_tol : float, optional
-        Cut-normal size below which ``Tx = x`` is returned.
 
     Returns
     -------
     KTStep
     """
     a, b, a_star, b_star, s_flat, eta = _kt_blocks(inst, x.p, x.v)
-    tx_flat, resid = _cut_projection(x.flat, s_flat, eta, s_tol)
+    tx_flat, resid = _cut_projection(x.flat, s_flat, eta)
     Tx = x if resid == 0.0 else PDPoint.from_flat(tx_flat, x.dim_p)
     s_star = PDPoint(s_flat[: inst.dim_p], s_flat[inst.dim_p :])
     return KTStep(a=a, b=b, a_star=a_star, b_star=b_star, s_star=s_star, eta=eta, Tx=Tx)
 
 
-def kt_apply_flat(inst, x_flat, s_tol=S_STAR_TOL):
+def kt_apply_flat(inst, x_flat):
     """Lean coupling-operator evaluation on a flat vector.
 
     Same arithmetic as :func:`kt_operator` without the record type; used by
@@ -171,7 +169,7 @@ def kt_apply_flat(inst, x_flat, s_tol=S_STAR_TOL):
     """
     n = inst.dim_p
     _, _, _, _, s_flat, eta = _kt_blocks(inst, x_flat[:n], x_flat[n:])
-    return _cut_projection(x_flat, s_flat, eta, s_tol)
+    return _cut_projection(x_flat, s_flat, eta)
 
 
 def kt_residual(inst, x):

@@ -36,6 +36,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="'z'"):
             instance_from_doc(doc)
 
+    def test_non_numeric_z(self):
+        with pytest.raises(ConfigError, match="'z'"):
+            instance_from_doc(dict(INSTANCE_DOC, z=["a", "b"]))
+
+    def test_floor_fraction(self):
+        named = instance_from_doc(dict(INSTANCE_DOC, floor_fraction=0.5))
+        assert named.cap.r == pytest.approx(0.5 * 0.5)
+        for bad in (1.5, "abc"):
+            with pytest.raises(ConfigError, match="floor_fraction"):
+                instance_from_doc(dict(INSTANCE_DOC, floor_fraction=bad))
+        # the anchor is the solution: no cap, and the fraction is never used
+        named = instance_from_doc(dict(INSTANCE_DOC, z=[0.0, 0.0], floor_fraction=1.5))
+        assert named.cap is None
+
     def test_json_error_is_line_precise(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{\n  "A": [1,\n}')
@@ -51,6 +65,29 @@ class TestConfig:
         assert named.tag == "custom1d"
         with pytest.raises(ConfigError, match="built-ins"):
             resolve_instance("nope")
+
+
+@pytest.mark.parametrize(
+    "command, instance, key, value",
+    [
+        ("solve", "quadratic1d", "max_iter", "abc"),
+        ("solve", "quadratic1d", "tol_residual", [1e-3]),
+        ("solve", "quadratic1d", "mode", "nope"),
+        ("check", "quadratic1d", "samples", "many"),
+        ("integrate", "lens-drift", "lambda", ["x"]),
+    ],
+    ids=["max_iter", "tol_residual", "mode", "samples", "lambda"],
+)
+def test_run_config_value_of_wrong_type_exit_one(
+    tmp_path, capsys, command, instance, key, value
+):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"instance": instance, key: value, "out": str(tmp_path)}))
+    code = main([command, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert repr(key) in err and "run.json" in err
 
 
 class TestProjectCommand:

@@ -10,8 +10,10 @@ from mflow import (
     euler_defect,
     euler_eval,
     euler_nodes,
+    fejer_slack,
     get_instance,
     integrate_field,
+    kt_residual,
     OUTSIDE,
     solve,
 )
@@ -246,3 +248,44 @@ class TestIntegrateField:
         named = get_instance("lens-drift")
         with pytest.raises(ValueError):
             integrate_field(named.extended_field, [0.0, -1.0], 0.1, 0.0)
+
+
+class TestRecordColumns:
+    """Every record column against its per-row definition."""
+
+    @staticmethod
+    def check_columns(traj, cap):
+        pts = traj.points
+        for k, x in enumerate(pts):
+            assert traj.norm_to_w[k] == pytest.approx(
+                np.linalg.norm(x - cap.w), rel=1e-12, abs=1e-12
+            )
+            assert traj.fejer_slack[k] == pytest.approx(
+                fejer_slack(cap, x), rel=1e-12, abs=1e-12
+            )
+            step = 0.0 if k == 0 else np.linalg.norm(x - pts[k - 1])
+            assert traj.step_norm[k] == pytest.approx(step, rel=1e-12, abs=1e-12)
+
+    def test_solve(self):
+        named = get_instance("quadratic3x2")
+        inst = named.instance
+        traj = solve(inst, max_iter=300, z=named.z)
+        assert traj.iterations == 300
+        assert np.array_equal(traj.index, np.arange(301))
+        for k in range(traj.iterations):
+            assert best_approx_iterate(inst, traj.points[k]).tobytes() == (
+                traj.points[k + 1].tobytes()
+            )
+        assert traj.residual.tolist() == [kt_residual(inst, x) for x in traj.points]
+        self.check_columns(traj, named.cap)
+
+    def test_integrate_field(self):
+        named = get_instance("lens-drift")
+        F, lam = named.extended_field, 0.05
+        traj = integrate_field(F, named.start, lam, 1.0, cap=named.cap, z=named.z)
+        assert np.array_equal(traj.index, np.arange(21) * lam)
+        for k in range(traj.iterations):
+            x = traj.points[k]
+            assert (x + lam * F(x)).tobytes() == traj.points[k + 1].tobytes()
+        assert traj.residual.tolist() == [np.linalg.norm(F(x)) for x in traj.points]
+        self.check_columns(traj, named.cap)
