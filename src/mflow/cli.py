@@ -10,6 +10,7 @@ Verbosity comes from the ``MFLOW_LOG`` environment variable
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -107,8 +108,9 @@ def _resolve(args):
 
 
 def _positive(name, value):
-    if value is not None and value <= 0:
-        raise ConfigError(f"{name} must be strictly positive, got {value}")
+    # the chained comparison also rejects NaN
+    if value is not None and not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and strictly positive, got {value}")
 
 
 def cmd_solve(args):
@@ -227,9 +229,15 @@ def cmd_integrate(args):
 def _integration_start(args, named):
     if getattr(args, "x0", None):
         try:
-            return as_vector(json.loads(args.x0))
+            x0 = as_vector(json.loads(args.x0))
         except (json.JSONDecodeError, ValueError) as exc:
             raise ConfigError(f"bad --x0: {exc}") from exc
+        if named.start is not None and x0.shape != named.start.shape:
+            raise ConfigError(
+                f"--x0 has dimension {x0.shape[0]}, instance {named.tag!r} "
+                f"has dimension {named.start.shape[0]}"
+            )
+        return x0
     if named.start is not None:
         return named.start.copy()
     if named.cap is not None:
@@ -249,6 +257,8 @@ def cmd_check(args):
     tol = float(args.tol if args.tol is not None else GEOM_TOL)
     _positive("samples", n_samples)
     _positive("tol", tol)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     fld = named.flow_field()
     samples = diagnostics.sample_cap(named.cap, n_samples=n_samples, seed=seed)
@@ -289,6 +299,11 @@ def cmd_project(args):
         c = as_vector(json.loads(args.c))
     except (json.JSONDecodeError, ValueError) as exc:
         raise ConfigError(f"points must be JSON arrays of equal dimension: {exc}")
+    if not w.shape == b.shape == c.shape:
+        raise ConfigError(
+            f"points must have equal dimension, got {w.shape[0]}, {b.shape[0]}, "
+            f"{c.shape[0]}"
+        )
     point, case = haugazeau_projection(w, b, c, return_case=True)
     print(json.dumps({"projection": point.tolist(), "case": case}))
     return EXIT_OK

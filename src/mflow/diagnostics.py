@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .geometry import (
     GEOM_TOL,
@@ -86,6 +85,9 @@ def sample_cap(cap, n_samples=512, seed=0):
     points failing the cap membership test are rejected until ``n_samples``
     survive.  Deterministic for fixed ``seed``.
     """
+    # scipy.stats takes about a second to import and only this function needs it
+    from scipy.stats import qmc
+
     dim = cap.dim
     center = cap.center
     radius = cap.radius

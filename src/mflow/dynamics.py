@@ -11,7 +11,6 @@ so the integrator and the discrete scheme share one step routine and agree
 bit for bit at step size one.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -56,7 +55,6 @@ class VectorField:
     """
 
     fn: callable
-    dim: int
     cap: Cap = None
     target: callable = None
 
@@ -112,21 +110,11 @@ class Trajectory:
             + [f"x_{i}" for i in range(dim)]
             + ["norm_to_w", "fejer_slack", "residual", "step_norm"]
         )
+        diagnostics = [self.norm_to_w, self.fejer_slack, self.residual, self.step_norm]
+        cols = np.column_stack([self.index, self.points, *diagnostics])
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(self.points.shape[0]):
-                row = (
-                    [self.index[k]]
-                    + list(self.points[k])
-                    + [
-                        self.norm_to_w[k],
-                        self.fejer_slack[k],
-                        self.residual[k],
-                        self.step_norm[k],
-                    ]
-                )
-                writer.writerow([f"{val:.17g}" for val in row])
+            fh.write(",".join(header) + "\r\n")
+            np.savetxt(fh, cols, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def euler_nodes(F, x0, lam, n_steps):
@@ -140,11 +128,17 @@ def euler_nodes(F, x0, lam, n_steps):
 
     Returns an array of shape ``(n_steps + 1, dim)``.
     """
+    return _euler(F, x0, lam, n_steps)[0]
+
+
+def _euler(F, x0, lam, n_steps):
+    """Nodes of :func:`euler_nodes`, and ``||F(c_k)||`` at every node but the last."""
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"step size must lie in (0, 1], got {lam}")
     x0 = as_vector(x0)
     nodes = np.empty((n_steps + 1, x0.shape[0]))
     nodes[0] = x0
+    field_norms = np.empty(n_steps)
     cap = getattr(F, "cap", None)
     # the floor exclusion only binds for runs started inside the admissible
     # cap; the discrete scheme legitimately starts at the anchor below it
@@ -154,9 +148,12 @@ def euler_nodes(F, x0, lam, n_steps):
     for k in range(n_steps):
         if use_target:
             nodes[k + 1] = F.target(nodes[k])
+            # F = G - Id, so the unit step is F(c_k) itself, bit for bit
+            fx = nodes[k + 1] - nodes[k]
         else:
             fx = as_vector(F(nodes[k]))
             nodes[k + 1] = nodes[k] + lam * fx
+        field_norms[k] = np.linalg.norm(fx)
         if not np.all(np.isfinite(nodes[k + 1])):
             raise NonFiniteError(f"euler node {k + 1} is not finite")
         if cap is not None and not warned:
@@ -166,7 +163,7 @@ def euler_nodes(F, x0, lam, n_steps):
                     f"euler node {k + 1} left the admissible cap", RuntimeWarning
                 )
                 warned = True
-    return nodes
+    return nodes, field_norms
 
 
 def euler_eval(nodes, lam, t, t0=0.0):
@@ -221,7 +218,6 @@ def build_field(inst, cap=None):
 
     return VectorField(
         fn=lambda x: target(x) - as_vector(x),
-        dim=inst.dim,
         cap=cap,
         target=target,
     )
@@ -323,7 +319,8 @@ def solve(
     if mode == "euler":
         if lam is None or not 0.0 < lam <= 1.0:
             raise ValueError(f"euler mode needs a step size in (0, 1], got {lam}")
-    if max_iter <= 0 or tol_residual <= 0 or tol_step <= 0:
+    # written so that a NaN criterion fails too
+    if not (max_iter > 0 and tol_residual > 0 and tol_step > 0):
         raise ValueError("stop criteria must be strictly positive")
 
     w_flat = inst.w.flat
@@ -367,8 +364,8 @@ def integrate_field(F, x0, lam, t_final, cap=None, z=None, label=""):
         raise ValueError("t_final must be positive")
     cap = cap if cap is not None else getattr(F, "cap", None)
     n_steps = int(np.ceil(t_final / lam - 1e-12))
-    nodes = euler_nodes(F, x0, lam, n_steps)
-    residuals = [float(np.linalg.norm(as_vector(F(x)))) for x in nodes]
+    nodes, field_norms = _euler(F, x0, lam, n_steps)
+    residuals = np.append(field_norms, np.linalg.norm(as_vector(F(nodes[-1]))))
     w_flat = cap.w if cap is not None else None
     z_flat = as_vector(z) if z is not None else (cap.z if cap is not None else None)
     index = np.arange(n_steps + 1) * lam

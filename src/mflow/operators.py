@@ -8,7 +8,6 @@ output as a graph point of ``A``.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .space import as_vector
 
@@ -175,8 +174,7 @@ class Zero(MonotoneOperator):
 class LinearMonotone(MonotoneOperator):
     """Linear operator ``x -> M x`` with positive semidefinite symmetric part.
 
-    The resolvent solves the dense system ``(I + gamma M) y = x``; the
-    factorization is cached per step size since problem sizes are small.
+    The resolvent solves the dense system ``(I + gamma M) y = x``.
     """
 
     def __init__(self, matrix):
@@ -190,17 +188,10 @@ class LinearMonotone(MonotoneOperator):
         M.setflags(write=False)
         self.matrix = M
         self.dim = M.shape[0]
-        self._solves = {}
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
-        x = as_vector(x)
-        key = float(gamma)
-        if key not in self._solves:
-            self._solves[key] = scipy.linalg.lu_factor(
-                np.eye(self.dim) + gamma * self.matrix
-            )
-        return scipy.linalg.lu_solve(self._solves[key], x)
+        return np.linalg.solve(np.eye(self.dim) + gamma * self.matrix, as_vector(x))
 
     def member(self, x, y, tol=1e-8):
         x = as_vector(x)

@@ -198,8 +198,8 @@ def lens_drift():
         x = as_vector(x)
         return np.array([1.0 - x[0], 0.0])
 
-    fld = VectorField(fn=drift, dim=2, cap=cap)
-    extended = VectorField(fn=drift, dim=2)
+    fld = VectorField(fn=drift, cap=cap)
+    extended = VectorField(fn=drift)
     reference = ("horizontal", lambda t: np.array([1.0 - np.exp(-t), -1.0]))
     return NamedInstance(
         tag="lens-drift",
@@ -277,8 +277,8 @@ def box_flow():
         wgt = d_box / total
         return np.array([1.0 - x1, wgt * x1 + (1.0 - wgt) * (-x2)])
 
-    fld = VectorField(fn=contraction, dim=2, cap=cap)
-    extended = VectorField(fn=extended_fn, dim=2)
+    fld = VectorField(fn=contraction, cap=cap)
+    extended = VectorField(fn=extended_fn)
     references = (
         ("branch", lambda t: np.array([1.0 - np.exp(-t), np.exp(-t) + t - 1.0])),
         ("flat", lambda t: np.array([1.0 - np.exp(-t), 0.0 * t])),

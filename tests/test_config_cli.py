@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mflow
 from mflow.cli import main
 from mflow.config import ConfigError, instance_from_doc, load_json, resolve_instance
 
@@ -88,6 +93,52 @@ def test_run_config_value_of_wrong_type_exit_one(
     assert code == 1
     assert err.startswith("error: ")
     assert repr(key) in err and "run.json" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--instance", "lens-drift", "--tol", "nan"],
+        ["check", "--instance", "lens-drift", "--tol", "inf"],
+        ["check", "--instance", "quadratic3x2", "--seed", "-1"],
+        ["solve", "--instance", "quadratic1d", "--tol-residual", "nan"],
+        ["solve", "--instance", "quadratic1d", "--tol-step", "nan"],
+        ["integrate", "--instance", "lens-drift", "--lambda", "1", "--t-final", "nan"],
+        ["integrate", "--instance", "lens-drift", "--lambda", "1", "--t-final", "inf"],
+        ["integrate", "--instance", "lens-drift", "--lambda", "1", "--x0", "[1,2,3]"],
+        ["project", "[0,0]", "[1,0]", "[1]"],
+    ],
+    ids=[
+        "tol_nan",
+        "tol_inf",
+        "seed_negative",
+        "tol_residual_nan",
+        "tol_step_nan",
+        "t_final_nan",
+        "t_final_inf",
+        "x0_dimension",
+        "project_dimension",
+    ],
+)
+def test_bad_numeric_argument_exit_one(tmp_path, capsys, argv):
+    if argv[0] != "project":
+        argv = argv + ["--out", str(tmp_path)]
+    code = main(argv)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy is imported lazily by diagnostics.sample_cap only
+    code = (
+        "import sys, mflow.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mflow.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.strip() == "[]"
 
 
 class TestProjectCommand:

@@ -53,7 +53,7 @@ class TestUniqueZero:
         assert rep.passed
 
     def test_everything_is_a_zero_fails(self, lens, lens_samples):
-        zero = VectorField(fn=lambda x: np.zeros(2), dim=2)
+        zero = VectorField(fn=lambda x: np.zeros(2))
         rep = check_unique_zero(zero, lens.cap, lens.z, lens_samples)
         assert not rep.passed
         assert rep.witness is not None
@@ -91,7 +91,7 @@ class TestCapInvariance:
         assert rep.passed
 
     def test_zero_field_trivially_invariant(self, lens, lens_samples):
-        zero = VectorField(fn=lambda x: np.zeros(2), dim=2)
+        zero = VectorField(fn=lambda x: np.zeros(2))
         rep = check_cap_invariance(zero, lens.cap, lens_samples)
         assert rep.passed
 
@@ -103,7 +103,7 @@ class TestOutwardDrift:
         assert rep.passed
 
     def test_pull_toward_anchor_fails(self, lens, lens_samples):
-        pull = VectorField(fn=lambda x: lens.cap.w - x, dim=2)
+        pull = VectorField(fn=lambda x: lens.cap.w - x)
         rep = check_outward_drift(pull, lens.cap, lens_samples)
         assert not rep.passed
         x = rep.witness

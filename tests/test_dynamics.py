@@ -20,7 +20,7 @@ from mflow import (
 
 
 def drift_field():
-    return VectorField(fn=lambda x: np.array([1.0 - x[0], 0.0]), dim=2)
+    return VectorField(fn=lambda x: np.array([1.0 - x[0], 0.0]))
 
 
 class TestEulerNodes:
@@ -30,7 +30,7 @@ class TestEulerNodes:
         assert nodes == pytest.approx(np.array(expected), abs=1e-15)
 
     def test_stationary_field(self):
-        zero = VectorField(fn=lambda x: np.zeros(2), dim=2)
+        zero = VectorField(fn=lambda x: np.zeros(2))
         nodes = euler_nodes(zero, [0.3, 0.7], 0.25, 10)
         assert np.all(nodes == np.array([0.3, 0.7]))
 
@@ -80,7 +80,7 @@ class TestEulerEval:
 
 class TestEulerDefect:
     def test_constant_field_has_zero_defect(self):
-        const = VectorField(fn=lambda x: np.array([1.0, 2.0]), dim=2)
+        const = VectorField(fn=lambda x: np.array([1.0, 2.0]))
         nodes = euler_nodes(const, [0.0, 0.0], 0.25, 8)
         for t in (0.1, 0.3, 0.77, 1.9):
             assert euler_defect(const, nodes, 0.25, t) == pytest.approx([0.0, 0.0])
@@ -194,6 +194,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(named.instance, max_iter=0)
 
+    @pytest.mark.parametrize("key", ["max_iter", "tol_residual", "tol_step"])
+    def test_nan_stop_criterion_rejected(self, key):
+        named = get_instance("quadratic1d")
+        with pytest.raises(ValueError, match="stop criteria"):
+            solve(named.instance, **{key: float("nan")})
+
     def test_max_iter_termination(self):
         named = get_instance("quadratic1d")
         traj = solve(named.instance, max_iter=1)
@@ -222,6 +228,30 @@ class TestTrajectoryOutput:
         assert np.array_equal(data["x_0"], traj.points[:, 0])
         assert np.array_equal(data["residual"], traj.residual)
 
+    @pytest.mark.parametrize("anchored", [True, False], ids=["with_z", "without_z"])
+    def test_csv_bytes(self, tmp_path, anchored):
+        if anchored:
+            named = get_instance("quadratic1d")
+            traj = solve(named.instance, max_iter=30, z=named.z)
+        else:
+            # no cap and no z: norm_to_w and fejer_slack are NaN
+            traj = integrate_field(drift_field(), [0.0, -1.0], 0.25, 2.0)
+        path = tmp_path / "traj.csv"
+        traj.write_csv(path)
+        cols = [
+            traj.index,
+            *traj.points.T,
+            traj.norm_to_w,
+            traj.fejer_slack,
+            traj.residual,
+            traj.step_norm,
+        ]
+        lines = ["n_or_t,x_0,x_1,norm_to_w,fejer_slack,residual,step_norm"]
+        for k in range(traj.points.shape[0]):
+            lines.append(",".join(f"{col[k]:.17g}" for col in cols))
+        assert path.read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
+        assert anchored != (",nan,nan," in path.read_text())
+
     def test_summary_fields(self):
         named = get_instance("quadratic1d")
         traj = solve(named.instance, max_iter=20, z=named.z, label="quadratic1d")
@@ -243,6 +273,24 @@ class TestIntegrateField:
             for k in range(traj.points.shape[0])
         )
         assert sup_err <= 0.05  # first-order accuracy at lam = 0.05
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5])
+    def test_one_field_call_per_node(self, lam):
+        named = get_instance("lens-drift")
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return named.extended_field(x)
+
+        traj = integrate_field(VectorField(fn=counted), named.start, lam, 1.0)
+        assert len(calls) == traj.points.shape[0]
+
+    def test_unit_step_residual_is_field_norm(self):
+        named = get_instance("quadratic3x2")
+        F = build_field(named.instance, cap=named.cap)
+        traj = integrate_field(F, named.instance.x0.flat, 1.0, 30.0)
+        assert traj.residual.tolist() == [np.linalg.norm(F(x)) for x in traj.points]
 
     def test_rejects_bad_horizon(self):
         named = get_instance("lens-drift")

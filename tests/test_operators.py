@@ -61,6 +61,17 @@ def test_linear_psd_resolvent():
     assert op.resolvent(0.5, [4.0, 4.0]) == pytest.approx([2.0, 2.0], abs=1e-14)
 
 
+def test_linear_monotone_resolvent_non_symmetric():
+    # positive definite symmetric part plus a skew part
+    M = np.array([[1.0, 2.0, -0.5], [-1.5, 0.5, 1.0], [0.3, -1.2, 0.8]])
+    op = LinearMonotone(M)
+    x = np.array([0.7, -1.3, 2.1])
+    # 1.0 comes twice: a repeated step size must give the same solve
+    for gamma in (0.1, 1.0, 3.5, 1.0, 20.0):
+        y = op.resolvent(gamma, x)
+        assert np.max(np.abs(y + gamma * (M @ y) - x)) <= 1e-12
+
+
 def test_zero_resolvent_is_identity(rng):
     op = Zero()
     x = rng.standard_normal(4)
