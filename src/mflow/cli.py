@@ -170,14 +170,9 @@ def cmd_integrate(args):
     _positive("t-final", t_final)
     out = _out_dir(args)
 
-    if named.kind == "field":
-        fld = named.extended_field or named.field
-        x0 = _integration_start(args, named)
-        references = named.references
-    else:
-        fld = named.flow_field()
-        x0 = named.instance.x0.flat
-        references = ()
+    fld = named.extended_field or named.flow_field()
+    x0 = _integration_start(args, named)
+    references = named.references
 
     rows = []
     sup_errors = []
@@ -197,7 +192,7 @@ def cmd_integrate(args):
                 sup_err = max(
                     float(
                         np.linalg.norm(
-                            dynamics.euler_eval(nodes, lam, t) - as_vector(reference(t))
+                            dynamics.euler_eval(nodes, lam, t) - reference(t)
                         )
                     )
                     for t in tgrid
@@ -227,22 +222,24 @@ def cmd_integrate(args):
 
 
 def _integration_start(args, named):
-    if getattr(args, "x0", None):
-        try:
-            x0 = as_vector(json.loads(args.x0))
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise ConfigError(f"bad --x0: {exc}") from exc
-        if named.start is not None and x0.shape != named.start.shape:
-            raise ConfigError(
-                f"--x0 has dimension {x0.shape[0]}, instance {named.tag!r} "
-                f"has dimension {named.start.shape[0]}"
-            )
-        return x0
-    if named.start is not None:
-        return named.start.copy()
-    if named.cap is not None:
-        return named.cap.z.copy()
-    raise ConfigError(f"instance {named.tag!r} needs an explicit --x0")
+    if named.instance is not None:
+        start = named.instance.x0.flat
+    else:
+        start = named.start if named.start is not None else getattr(named.cap, "z", None)
+    if not args.x0:
+        if start is None:
+            raise ConfigError(f"instance {named.tag!r} needs an explicit --x0")
+        return start
+    try:
+        x0 = as_vector(json.loads(args.x0))
+    except (json.JSONDecodeError, ValueError) as exc:
+        raise ConfigError(f"bad --x0: {exc}") from exc
+    if start is not None and x0.shape != start.shape:
+        raise ConfigError(
+            f"--x0 has dimension {x0.shape[0]}, instance {named.tag!r} "
+            f"has dimension {start.shape[0]}"
+        )
+    return x0
 
 
 def cmd_check(args):

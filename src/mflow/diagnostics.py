@@ -239,8 +239,7 @@ def cut_pair_builder(T, w):
     w = as_vector(w)
 
     def build(x):
-        x = as_vector(x)
-        return [halfspace_of(w, x), halfspace_of(x, as_vector(T(x)))]
+        return [halfspace_of(w, x), halfspace_of(x, T(x))]
 
     return build
 

@@ -11,6 +11,7 @@ so the integrator and the discrete scheme share one step routine and agree
 bit for bit at step size one.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -151,7 +152,7 @@ def _euler(F, x0, lam, n_steps):
             # F = G - Id, so the unit step is F(c_k) itself, bit for bit
             fx = nodes[k + 1] - nodes[k]
         else:
-            fx = as_vector(F(nodes[k]))
+            fx = np.asarray(F(nodes[k]), dtype=float)
             nodes[k + 1] = nodes[k] + lam * fx
         field_norms[k] = np.linalg.norm(fx)
         if not np.all(np.isfinite(nodes[k + 1])):
@@ -213,11 +214,11 @@ def build_field(inst, cap=None):
     w_flat = inst.w.flat
 
     def target(x):
-        q, _ = _kt_projection_step(inst, as_vector(x), w_flat)
+        q, _ = _kt_projection_step(inst, np.asarray(x, dtype=float), w_flat)
         return q
 
     return VectorField(
-        fn=lambda x: target(x) - as_vector(x),
+        fn=lambda x: target(x) - x,
         cap=cap,
         target=target,
     )
@@ -312,7 +313,7 @@ def solve(
     EmptyIntersectionError
         Projection breakdown (the iteration left the admissible region).
     NonFiniteError
-        An iterate stopped being finite.
+        A projection or an iterate stopped being finite.
     """
     if mode not in ("discrete", "euler"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -329,6 +330,8 @@ def solve(
     while True:
         q, resid = _kt_projection_step(inst, x, w_flat)
         n = len(points)
+        if not np.all(np.isfinite(q)):
+            raise NonFiniteError(f"the projection at iterate {n} is not finite")
         step_small = n > 0 and float(np.linalg.norm(x - points[-1])) <= tol_step
         points.append(x)
         residuals.append(resid)
@@ -343,9 +346,12 @@ def solve(
             break
         # lam = 1 collapses the relaxed step to the projection itself; taking
         # it directly keeps euler(1) and discrete bit-identical.
-        x = q if (mode == "discrete" or lam == 1.0) else x + lam * (q - x)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteError(f"iterate {n + 1} is not finite")
+        if mode == "discrete" or lam == 1.0:
+            x = q
+        else:
+            x = x + lam * (q - x)
+            if not np.all(np.isfinite(x)):
+                raise NonFiniteError(f"iterate {n + 1} is not finite")
     index = np.arange(len(points)) * (1.0 if mode == "discrete" else lam)
     z_flat = None if z is None else as_vector(z)
     return _trajectory(
@@ -360,12 +366,13 @@ def integrate_field(F, x0, lam, t_final, cap=None, z=None, label=""):
     overrides the field's declared cap for the Fejer/distance columns; when
     neither provides anchors those columns are NaN.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
+    # the chained comparison also rejects NaN
+    if not 0 < t_final < math.inf:
+        raise ValueError(f"t_final must be finite and positive, got {t_final}")
     cap = cap if cap is not None else getattr(F, "cap", None)
     n_steps = int(np.ceil(t_final / lam - 1e-12))
     nodes, field_norms = _euler(F, x0, lam, n_steps)
-    residuals = np.append(field_norms, np.linalg.norm(as_vector(F(nodes[-1]))))
+    residuals = np.append(field_norms, np.linalg.norm(F(nodes[-1])))
     w_flat = cap.w if cap is not None else None
     z_flat = as_vector(z) if z is not None else (cap.z if cap is not None else None)
     index = np.arange(n_steps + 1) * lam

@@ -67,7 +67,7 @@ class HalfSpace:
 
     def violation(self, x):
         """Signed constraint value ``<x, normal> - offset`` (<= 0 means feasible)."""
-        return float(as_vector(x) @ self.normal - self.offset)
+        return float(x @ self.normal - self.offset)
 
     def contains(self, x, tol=GEOM_TOL):
         return self.violation(x) <= tol
@@ -79,8 +79,8 @@ def halfspace_of(z1, z2):
     For ``z1 == z2`` this is the whole space, returned as the zero normal
     with zero offset.
     """
-    z1 = as_vector(z1)
-    z2 = as_vector(z2)
+    z1 = np.asarray(z1, dtype=float)
+    z2 = np.asarray(z2, dtype=float)
     if z1.shape != z2.shape:
         raise ValueError(f"dimension mismatch: {z1.shape[0]} vs {z2.shape[0]}")
     a = z1 - z2
@@ -91,7 +91,7 @@ def project_halfspace(hs, w):
     """Euclidean projection of ``w`` onto a nonempty halfspace."""
     if hs.is_empty:
         raise EmptyIntersectionError("cannot project onto an empty halfspace")
-    w = as_vector(w)
+    w = np.array(w, dtype=float)
     viol = w @ hs.normal - hs.offset
     if viol <= 0.0:
         return w
@@ -126,9 +126,9 @@ def haugazeau_projection(w, b, c, return_case=False):
     -------
     ndarray, or (ndarray, str) when ``return_case`` is set.
     """
-    w = as_vector(w)
-    b = as_vector(b)
-    c = as_vector(c)
+    w = np.asarray(w, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
     if not (w.shape == b.shape == c.shape):
         raise ValueError("haugazeau projection requires equal dimensions")
 
@@ -162,7 +162,7 @@ def project_onto_halfspaces(halfspaces, w):
     cuts.  Candidates are enumerated over the active sets (none, one, both)
     and the closest feasible one wins.
     """
-    w = as_vector(w)
+    w = np.asarray(w, dtype=float)
     hs = [h for h in halfspaces if not h.is_whole_space]
     if any(h.is_empty for h in hs):
         raise EmptyIntersectionError("an empty halfspace was supplied")
@@ -244,7 +244,6 @@ def cap_membership(cap, x):
     ``||x - w||^2 >= r - GEOM_TOL`` hold, :data:`INSIDE_D_ONLY` when only
     the ball test holds, and :data:`OUTSIDE` otherwise.
     """
-    x = as_vector(x)
     if float((cap.z - x) @ (cap.w - x)) > GEOM_TOL:
         return OUTSIDE
     if float(np.sum((x - cap.w) ** 2)) < cap.r - GEOM_TOL:

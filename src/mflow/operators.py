@@ -64,7 +64,7 @@ class Quadratic(MonotoneOperator):
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
-        return (as_vector(x) + gamma * self.b) / (1.0 + gamma)
+        return (x + gamma * self.b) / (1.0 + gamma)
 
     def member(self, x, y, tol=1e-8):
         return bool(np.max(np.abs(as_vector(y) - (as_vector(x) - self.b))) <= tol)
@@ -80,7 +80,6 @@ class L1(MonotoneOperator):
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
-        x = as_vector(x)
         t = gamma * self.weight
         return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
@@ -109,7 +108,7 @@ class BoxNormalCone(MonotoneOperator):
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
-        return np.clip(as_vector(x), self.lower, self.upper)
+        return np.clip(x, self.lower, self.upper)
 
     def member(self, x, y, tol=1e-8):
         x = as_vector(x)
@@ -137,7 +136,7 @@ class BallNormalCone(MonotoneOperator):
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
-        x = as_vector(x)
+        x = np.array(x, dtype=float)
         d = x - self.center
         dist = np.linalg.norm(d)
         if dist <= self.radius:
@@ -165,7 +164,7 @@ class Zero(MonotoneOperator):
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
-        return as_vector(x)
+        return np.array(x, dtype=float)
 
     def member(self, x, y, tol=1e-8):
         return bool(np.max(np.abs(as_vector(y))) <= tol)
@@ -191,7 +190,7 @@ class LinearMonotone(MonotoneOperator):
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
-        return np.linalg.solve(np.eye(self.dim) + gamma * self.matrix, as_vector(x))
+        return np.linalg.solve(np.eye(self.dim) + gamma * self.matrix, x)
 
     def member(self, x, y, tol=1e-8):
         x = as_vector(x)
@@ -222,15 +221,9 @@ class LinearMap:
         return self.matrix.shape[0]
 
     def apply(self, x):
-        x = as_vector(x)
-        if x.shape[0] != self.dim_in:
-            raise ValueError(f"dimension mismatch: {x.shape[0]} vs {self.dim_in}")
         return self.matrix @ x
 
     def adjoint(self, y):
-        y = as_vector(y)
-        if y.shape[0] != self.dim_out:
-            raise ValueError(f"dimension mismatch: {y.shape[0]} vs {self.dim_out}")
         return self.matrix.T @ y
 
     def __call__(self, x):

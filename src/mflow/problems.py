@@ -195,7 +195,6 @@ def lens_drift():
     cap = Cap(w, z, 1.0)
 
     def drift(x):
-        x = as_vector(x)
         return np.array([1.0 - x[0], 0.0])
 
     fld = VectorField(fn=drift, cap=cap)
@@ -252,11 +251,9 @@ def box_flow():
     cap = Cap(w, z, 1.0)
 
     def contraction(x):
-        x = as_vector(x)
         return np.array([1.0 - x[0], -x[1]])
 
     def extended_fn(x):
-        x = as_vector(x)
         x1, x2 = float(x[0]), float(x[1])
         if _in_notched_box(x1, x2):
             return np.array([1.0 - x1, -x2])

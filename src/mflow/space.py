@@ -1,9 +1,12 @@
 """Validation of input vectors and the primal-dual product space.
 
-Everything downstream works with plain 1-D float64 arrays, made by
-:func:`as_vector`.  The product
-space (primal block of dimension n, dual block of dimension m) is carried
-by :class:`PDPoint`, which flattens to a single vector of dimension n + m.
+Everything downstream works with plain 1-D float64 arrays.  They are
+validated by :func:`as_vector` once, where they enter: when a value type is
+built, when the CLI or the config layer parses them, or when a public
+single-vector entry receives them.  Step functions do arithmetic only and
+propagate NaN; the loops check finiteness.  The product space (primal block
+of dimension n, dual block of dimension m) is carried by :class:`PDPoint`,
+which flattens to a single vector of dimension n + m.
 """
 
 from dataclasses import dataclass
@@ -63,9 +66,9 @@ class PDPoint:
     @classmethod
     def from_flat(cls, flat, dim_p):
         """Split a flat vector into primal/dual blocks (inverse of ``flat``)."""
-        flat = as_vector(flat)
-        if not 0 < dim_p < flat.shape[0]:
-            raise ValueError(f"dim_p={dim_p} incompatible with flat dim {flat.shape[0]}")
+        flat = np.asarray(flat, dtype=float)
+        if not 0 < dim_p < flat.size:
+            raise ValueError(f"dim_p={dim_p} incompatible with flat dim {flat.size}")
         return cls(flat[:dim_p], flat[dim_p:])
 
     def to_json_dict(self):

@@ -234,7 +234,7 @@ def fixed_point_operator(kind, **params):
             raise ValueError(f"gamma must lie in [0, {2.0 * beta}], got {gamma}")
 
         def averaged_fb(x):
-            x = as_vector(x)
+            x = np.asarray(x, dtype=float)
             inner_pt = x - gamma * as_vector(forward(x))
             back = inner_pt if gamma == 0.0 else op.resolvent(gamma, inner_pt)
             return 0.5 * (x + back)
@@ -245,7 +245,7 @@ def fixed_point_operator(kind, **params):
         inst = params["instance"]
 
         def kt_map(x):
-            point = PDPoint.from_flat(as_vector(x), inst.dim_p)
+            point = PDPoint.from_flat(x, inst.dim_p)
             return kt_operator(inst, point).Tx.flat
 
         return kt_map

@@ -128,6 +128,44 @@ def test_bad_numeric_argument_exit_one(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# One step overflows: L maps the resolvent of A, of size 1e308, beyond the
+# largest double.
+OVERFLOW_DOC = {
+    "name": "ovf",
+    "A": {"tag": "quadratic", "b": [1e308]},
+    "B": {"tag": "quadratic", "b": [-1e308]},
+    "L": [[1e3]],
+    "gamma": 0.5,
+    "mu": 0.5,
+    "w": {"p": [0], "v": [0]},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_step_raises_non_finite(tmp_path):
+    path = tmp_path / "ovf.json"
+    path.write_text(json.dumps(OVERFLOW_DOC))
+    with pytest.raises(mflow.NonFiniteError):
+        mflow.solve(resolve_instance(str(path)).instance, max_iter=1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--max-iter", "50"],
+        ["integrate", "--lambda", "0.5", "--t-final", "20"],
+    ],
+    ids=["solve", "integrate"],
+)
+def test_overflowing_step_exit_three(tmp_path, capsys, argv):
+    path = tmp_path / "ovf.json"
+    path.write_text(json.dumps(OVERFLOW_DOC))
+    code = main(argv + ["--instance", str(path), "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("breakdown:")
+
+
 def test_cli_import_loads_no_scipy():
     # SciPy is imported lazily by diagnostics.sample_cap only
     code = (
@@ -303,6 +341,17 @@ class TestIntegrateCommand:
             ]
         )
         assert code == 1
+
+    def test_x0_for_splitting_instance(self, tmp_path, capsys):
+        argv = ["integrate", "--instance", "quadratic3x2", "--lambda", "0.5",
+                "--t-final", "2", "--out", str(tmp_path)]
+        assert main(argv + ["--x0", "[1,2,3]"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        # inside the admissible cap, so no node leaves it
+        x0 = (0.75 * mflow.get_instance("quadratic3x2").z).tolist()
+        assert main(argv + ["--x0", json.dumps(x0)]) == 0
+        rows = (tmp_path / "quadratic3x2_lam0.5.csv").read_text().splitlines()
+        assert [float(v) for v in rows[1].split(",")[1:6]] == x0
 
 
 class TestCheckCommand:

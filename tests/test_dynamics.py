@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import mflow.space
 from mflow import (
     PDPoint,
     VectorField,
@@ -294,8 +297,9 @@ class TestIntegrateField:
 
     def test_rejects_bad_horizon(self):
         named = get_instance("lens-drift")
-        with pytest.raises(ValueError):
-            integrate_field(named.extended_field, [0.0, -1.0], 0.1, 0.0)
+        for t_final in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="t_final"):
+                integrate_field(named.extended_field, [0.0, -1.0], 0.1, t_final)
 
 
 class TestRecordColumns:
@@ -337,3 +341,45 @@ class TestRecordColumns:
             assert (x + lam * F(x)).tobytes() == traj.points[k + 1].tobytes()
         assert traj.residual.tolist() == [np.linalg.norm(F(x)) for x in traj.points]
         self.check_columns(traj, named.cap)
+
+
+def _count_validations(monkeypatch):
+    """Count calls of ``as_vector`` through every binding in the mflow modules."""
+    calls = []
+    original = mflow.space.as_vector
+
+    def counted(x):
+        calls.append(1)
+        return original(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mflow" and getattr(module, "as_vector", None) is original:
+            monkeypatch.setattr(module, "as_vector", counted)
+    return calls
+
+
+class TestValidationCost:
+    """Values are validated where they enter, so the count does not grow with steps."""
+
+    def test_solve(self, monkeypatch):
+        inst = get_instance("quadratic3x2").instance
+        calls = _count_validations(monkeypatch)
+        counts = []
+        for n in (10, 100):
+            calls.clear()
+            traj = solve(inst, max_iter=n, tol_residual=1e-300, tol_step=1e-300)
+            assert traj.iterations == n
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_integrate_field(self, monkeypatch):
+        inst = get_instance("quadratic3x2").instance
+        F = build_field(inst)
+        calls = _count_validations(monkeypatch)
+        counts = []
+        for n in (10, 100):
+            calls.clear()
+            traj = integrate_field(F, inst.x0.flat, 0.5, 0.5 * n)
+            assert traj.iterations == n
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
