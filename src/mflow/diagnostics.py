@@ -4,8 +4,14 @@ The admissible cap is a continuum, so a desk-scale artifact can only sample
 it; every check below states its sample count and reports the worst signed
 violation together with a witness.  Reports are deterministic for a fixed
 seed.
+
+The checks evaluate a field, map or builder once on the whole ``(k, dim)``
+stack of samples, one point per row, so what they are given must map rows
+(see :func:`build_field`); the output is checked once per call for shape and
+finiteness.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -85,6 +91,9 @@ def sample_cap(cap, n_samples=512, seed=0):
     points failing the cap membership test are rejected until ``n_samples``
     survive.  Deterministic for fixed ``seed``.
     """
+    integral = isinstance(n_samples, numbers.Integral) and not isinstance(n_samples, bool)
+    if not (integral and n_samples > 0):
+        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
     # scipy.stats takes about a second to import and only this function needs it
     from scipy.stats import qmc
 
@@ -112,25 +121,49 @@ def sample_cap(cap, n_samples=512, seed=0):
     )
 
 
-def _report(name, tol, sample_count, entries, notes=""):
-    """Assemble a report from (violation, point, extra) entries."""
-    worst = -np.inf
-    witness = None
+def _field_values(F, x):
+    """``F`` on a ``(k, dim)`` stack of points, checked once for shape and finiteness."""
+    # an empty stack needs no call, and a field need not accept one
+    if x.shape[0] == 0:
+        return np.empty_like(x)
+    fx = np.asarray(F(x), dtype=float)
+    if fx.shape != x.shape:
+        raise ValueError(f"the field maps shape {x.shape} to shape {fx.shape}")
+    if not np.all(np.isfinite(fx)):
+        raise ValueError("field values must be finite")
+    return fx
+
+
+def _norms(x):
+    """Euclidean norm of every row; each equals ``np.linalg.norm`` of that row."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _report(name, tol, sample_count, violation, points, extra, notes=""):
+    """Assemble a report from one signed violation per entry and the entry's point.
+
+    ``extra(i)`` gives the further fields of entry ``i``'s violation record;
+    ``extra`` is None when there are none.
+    The witness is the first entry attaining the maximum; violating entries
+    are listed in entry order.
+    """
+    worst, witness = -np.inf, None
+    if len(violation):
+        i = int(np.argmax(violation))
+        if violation[i] > worst:
+            worst, witness = float(violation[i]), np.asarray(points[i])
     violations = []
-    for violation, point, extra in entries:
-        if violation > worst:
-            worst = violation
-            witness = point
-        if violation > tol:
-            rec = {"point": np.asarray(point), "violation": float(violation)}
-            rec.update(extra)
-            violations.append(rec)
+    for i in np.flatnonzero(violation > tol):
+        rec = {"point": np.asarray(points[i]), "violation": float(violation[i])}
+        if extra is not None:
+            rec.update(extra(i))
+        violations.append(rec)
     return AssumptionReport(
         name=name,
         passed=not violations,
         sample_count=sample_count,
-        worst_violation=float(worst),
-        witness=None if witness is None else np.asarray(witness),
+        worst_violation=worst,
+        witness=witness,
         violations=violations,
         notes=notes,
     )
@@ -144,20 +177,25 @@ def check_unique_zero(F, cap, z, samples, tol=GEOM_TOL):
     ``tol - ||F(x)||`` (positive means a spurious zero).
     """
     z = as_vector(z)
-    entries = []
-    fz = float(np.linalg.norm(as_vector(F(z))))
-    entries.append((fz - tol, z, {"kind": "field_at_reference"}))
-    for x in samples:
-        if float(np.linalg.norm(x - z)) < 10.0 * tol:
-            continue
-        fx = float(np.linalg.norm(as_vector(F(x))))
-        entries.append((tol - fx, x, {"kind": "spurious_zero", "field_norm": fx}))
+    samples = np.asarray(samples, dtype=float)
+    kept = samples[_norms(samples - z) >= 10.0 * tol]
+    points = np.vstack([z, kept])
+    field_norms = _norms(_field_values(F, points))
+    violation = np.concatenate([field_norms[:1] - tol, tol - field_norms[1:]])
+
+    def extra(i):
+        if i == 0:
+            return {"kind": "field_at_reference"}
+        return {"kind": "spurious_zero", "field_norm": float(field_norms[i])}
+
     # entries already carry the tolerance in their sign, so threshold at zero
     return _report(
         "unique_zero",
         0.0,
         len(samples),
-        entries,
+        violation,
+        points,
+        extra,
         notes="stationary exactly at the reference point",
     )
 
@@ -169,31 +207,32 @@ def check_cap_invariance(F, cap, samples, tol=GEOM_TOL):
     is tested against the cap's ball (violation ``<z - y, w - y>``) and
     floor (violation ``r - ||y - w||^2``); the larger of the two is reported.
     """
-    entries = []
-    for x in samples:
-        fx = as_vector(F(x))
-        for h in INVARIANCE_STEPS:
-            y = x + h * fx
-            ball_viol = float((cap.z - y) @ (cap.w - y))
-            floor_viol = cap.r - float(np.sum((y - cap.w) ** 2))
-            viol = max(ball_viol, floor_viol)
-            entries.append(
-                (
-                    viol,
-                    x,
-                    {
-                        "h": float(h),
-                        "endpoint": y,
-                        "ball_violation": ball_viol,
-                        "floor_violation": floor_viol,
-                    },
-                )
-            )
+    samples = np.asarray(samples, dtype=float)
+    steps = np.array(INVARIANCE_STEPS)
+    values = _field_values(F, samples)
+    # one endpoint per sample and step, sample-major
+    ends = samples[:, None] + steps[:, None] * values[:, None]
+    ends = ends.reshape(-1, samples.shape[1])
+    ball = np.vecdot(cap.z - ends, cap.w - ends)
+    floor = cap.r - np.sum((ends - cap.w) ** 2, axis=-1)
+    # the ball violation unless the floor's is larger, as max(ball, floor)
+    violation = np.where(floor > ball, floor, ball)
+
+    def extra(i):
+        return {
+            "h": INVARIANCE_STEPS[i % len(steps)],
+            "endpoint": ends[i],
+            "ball_violation": float(ball[i]),
+            "floor_violation": float(floor[i]),
+        }
+
     return _report(
         "cap_invariance",
         tol,
         len(samples),
-        entries,
+        violation,
+        np.repeat(samples, len(steps), axis=0),
+        extra,
         notes=f"segment endpoints tested at h in {INVARIANCE_STEPS}",
     )
 
@@ -204,11 +243,9 @@ def check_outward_drift(F, cap, samples, tol=GEOM_TOL):
     This is the sign condition making the distance to the anchor ``w``
     nondecreasing along the flow.
     """
-    entries = []
-    for x in samples:
-        fx = as_vector(F(x))
-        entries.append((float(fx @ (cap.w - x)), x, {}))
-    return _report("outward_drift", tol, len(samples), entries)
+    samples = np.asarray(samples, dtype=float)
+    violation = np.vecdot(_field_values(F, samples), cap.w - samples)
+    return _report("outward_drift", tol, len(samples), violation, samples, None)
 
 
 def check_strict_drift(F, points, w, z):
@@ -220,22 +257,21 @@ def check_strict_drift(F, points, w, z):
     """
     w = as_vector(w)
     z = as_vector(z)
-    entries = []
-    kept = 0
-    for x in np.asarray(points, dtype=float):
-        if float(np.linalg.norm(x - z)) <= STRICT_DRIFT_EXCLUSION:
-            continue
-        kept += 1
-        fx = as_vector(F(x))
-        entries.append((float(fx @ (w - x)), x, {}))
-    report = _report("strict_drift", 0.0, kept, entries)
+    points = np.asarray(points, dtype=float)
+    kept = points[_norms(points - z) > STRICT_DRIFT_EXCLUSION]
+    violation = np.vecdot(_field_values(F, kept), w - kept)
+    report = _report("strict_drift", 0.0, len(kept), violation, kept, None)
     # strictness: a zero value on a non-excluded point is already a failure
     report.passed = report.passed and report.worst_violation < 0.0
     return report
 
 
 def cut_pair_builder(T, w):
-    """Builder for the moving set ``H(w, x) & H(x, Tx)`` as explicit halfspaces."""
+    """Builder for the moving set ``H(w, x) & H(x, Tx)`` as explicit halfspaces.
+
+    The builder maps one point to two cuts, or a ``(k, dim)`` stack of points
+    to two stacks of ``k`` cuts; ``T`` must map such a stack row by row.
+    """
     w = as_vector(w)
 
     def build(x):
@@ -247,8 +283,10 @@ def cut_pair_builder(T, w):
 def check_projection_conditions(builder, cap, samples, tol=GEOM_TOL):
     """Verify the moving-projection conditions for ``C(x)`` given as cuts.
 
-    ``builder(x)`` must return the at-most-two halfspaces of ``C(x)``.
-    Four reports come back:
+    ``builder(x)`` must return the at-most-two halfspaces of ``C(x)``; it is
+    called once with the reference point and once with the ``(k, dim)``
+    stack of samples, for which each cut is a stack of ``k`` rows or one cut
+    shared by every sample.  Four reports come back:
 
     * ``projection_stationarity``: the reference point belongs to every
       ``C(x)``, the projection of ``w`` fixes no sampled ``x`` away from the
@@ -260,38 +298,57 @@ def check_projection_conditions(builder, cap, samples, tol=GEOM_TOL):
       closed convex), reported as verified by construction.
     """
     w, z = cap.w, cap.z
-    stat_entries = []
-    range_entries = []
-    align_entries = []
+    samples = np.asarray(samples, dtype=float)
+    k = len(samples)
     scale = 1.0 + float(np.linalg.norm(w - z))
 
     proj_ref = project_onto_halfspaces(builder(z), w)
-    stat_entries.append(
-        (
-            float(np.linalg.norm(proj_ref - z)) - tol * scale,
-            z,
-            {"kind": "reference_not_fixed"},
-        )
+    cuts = builder(samples)
+    proj = np.broadcast_to(project_onto_halfspaces(cuts, w), samples.shape)
+    moved = _norms(proj - samples)
+
+    # per sample: one entry per cut, then one if the sample is far from z
+    stat = np.column_stack(
+        [np.broadcast_to(hs.violation(z), (k,)) for hs in cuts] + [tol - moved]
     )
-    for x in samples:
-        cuts = builder(x)
-        for hs in cuts:
-            stat_entries.append(
-                (hs.violation(z), x, {"kind": "reference_outside_cut"})
-            )
-        proj = project_onto_halfspaces(cuts, w)
-        moved = float(np.linalg.norm(proj - x))
-        if float(np.linalg.norm(x - z)) > 10.0 * tol * scale:
-            stat_entries.append(
-                (tol - moved, x, {"kind": "spurious_fixed_point", "moved": moved})
-            )
-        range_entries.append((float((z - proj) @ (w - proj)), x, {"projection": proj}))
-        align_entries.append((float((proj - x) @ (w - x)), x, {}))
+    listed = np.ones(stat.shape, dtype=bool)
+    listed[:, -1] = _norms(samples - z) > 10.0 * tol * scale
+    row = np.broadcast_to(np.arange(k)[:, None], stat.shape)[listed]
+    column = np.broadcast_to(np.arange(len(cuts) + 1), stat.shape)[listed]
+    ref_violation = float(np.linalg.norm(proj_ref - z)) - tol * scale
+
+    def stat_extra(i):
+        if i == 0:
+            return {"kind": "reference_not_fixed"}
+        if column[i - 1] < len(cuts):
+            return {"kind": "reference_outside_cut"}
+        return {"kind": "spurious_fixed_point", "moved": float(moved[row[i - 1]])}
 
     reports = [
-        _report("projection_stationarity", tol, len(samples), stat_entries),
-        _report("projection_range", tol, len(samples), range_entries),
-        _report("projection_alignment", tol, len(samples), align_entries),
+        _report(
+            "projection_stationarity",
+            tol,
+            k,
+            np.concatenate([[ref_violation], stat[listed]]),
+            np.vstack([z, samples[row]]),
+            stat_extra,
+        ),
+        _report(
+            "projection_range",
+            tol,
+            k,
+            np.vecdot(z - proj, w - proj),
+            samples,
+            lambda i: {"projection": proj[i]},
+        ),
+        _report(
+            "projection_alignment",
+            tol,
+            k,
+            np.vecdot(proj - samples, w - samples),
+            samples,
+            None,
+        ),
         AssumptionReport(
             name="projection_convexity",
             passed=True,

@@ -23,9 +23,10 @@ from .geometry import (
     OUTSIDE,
     cap_membership,
     haugazeau_projection,
+    haugazeau_rows,
 )
 from .space import PDPoint, as_vector
-from .splitting import kt_apply_flat
+from .splitting import kt_apply_flat, kt_apply_rows
 
 __all__ = [
     "VectorField",
@@ -146,24 +147,26 @@ def _euler(F, x0, lam, n_steps):
     floor_binds = cap is not None and cap_membership(cap, x0) == INSIDE_DHAT
     warned = False
     use_target = lam == 1.0 and getattr(F, "target", None) is not None
-    for k in range(n_steps):
-        if use_target:
-            nodes[k + 1] = F.target(nodes[k])
-            # F = G - Id, so the unit step is F(c_k) itself, bit for bit
-            fx = nodes[k + 1] - nodes[k]
-        else:
-            fx = np.asarray(F(nodes[k]), dtype=float)
-            nodes[k + 1] = nodes[k] + lam * fx
-        field_norms[k] = np.linalg.norm(fx)
-        if not np.all(np.isfinite(nodes[k + 1])):
-            raise NonFiniteError(f"euler node {k + 1} is not finite")
-        if cap is not None and not warned:
-            membership = cap_membership(cap, nodes[k + 1])
-            if membership == OUTSIDE or (floor_binds and membership != INSIDE_DHAT):
-                warnings.warn(
-                    f"euler node {k + 1} left the admissible cap", RuntimeWarning
-                )
-                warned = True
+    # an overflowing step surfaces as NonFiniteError below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            if use_target:
+                nodes[k + 1] = F.target(nodes[k])
+                # F = G - Id, so the unit step is F(c_k) itself, bit for bit
+                fx = nodes[k + 1] - nodes[k]
+            else:
+                fx = np.asarray(F(nodes[k]), dtype=float)
+                nodes[k + 1] = nodes[k] + lam * fx
+            field_norms[k] = np.linalg.norm(fx)
+            if not np.all(np.isfinite(nodes[k + 1])):
+                raise NonFiniteError(f"euler node {k + 1} is not finite")
+            if cap is not None and not warned:
+                membership = cap_membership(cap, nodes[k + 1])
+                if membership == OUTSIDE or (floor_binds and membership != INSIDE_DHAT):
+                    warnings.warn(
+                        f"euler node {k + 1} left the admissible cap", RuntimeWarning
+                    )
+                    warned = True
     return nodes, field_norms
 
 
@@ -210,11 +213,20 @@ def _kt_projection_step(inst, x_flat, w_flat):
 
 
 def build_field(inst, cap=None):
-    """The instance's flow field ``F(x) = Q(w, x, Tx) - x`` over flat vectors."""
+    """The instance's flow field ``F(x) = Q(w, x, Tx) - x`` over flat vectors.
+
+    The field and its ``target`` also map a ``(k, dim)`` stack of points, one
+    per row, each row bit for bit as the single point; a single point takes
+    the discrete scheme's own step, so unit-step Euler matches :func:`solve`.
+    """
     w_flat = inst.w.flat
 
     def target(x):
-        q, _ = _kt_projection_step(inst, np.asarray(x, dtype=float), w_flat)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            tx, _ = kt_apply_rows(inst, x)
+            return haugazeau_rows(w_flat, x, tx)
+        q, _ = _kt_projection_step(inst, x, w_flat)
         return q
 
     return VectorField(
@@ -327,31 +339,33 @@ def solve(
     w_flat = inst.w.flat
     x = inst.x0.flat
     points, residuals = [], []
-    while True:
-        q, resid = _kt_projection_step(inst, x, w_flat)
-        n = len(points)
-        if not np.all(np.isfinite(q)):
-            raise NonFiniteError(f"the projection at iterate {n} is not finite")
-        step_small = n > 0 and float(np.linalg.norm(x - points[-1])) <= tol_step
-        points.append(x)
-        residuals.append(resid)
-        if resid <= tol_residual:
-            termination = "residual"
-            break
-        if step_small:
-            termination = "step"
-            break
-        if n >= max_iter:
-            termination = "max_iter"
-            break
-        # lam = 1 collapses the relaxed step to the projection itself; taking
-        # it directly keeps euler(1) and discrete bit-identical.
-        if mode == "discrete" or lam == 1.0:
-            x = q
-        else:
-            x = x + lam * (q - x)
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteError(f"iterate {n + 1} is not finite")
+    # an overflowing step surfaces as NonFiniteError below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            q, resid = _kt_projection_step(inst, x, w_flat)
+            n = len(points)
+            if not np.all(np.isfinite(q)):
+                raise NonFiniteError(f"the projection at iterate {n} is not finite")
+            step_small = n > 0 and float(np.linalg.norm(x - points[-1])) <= tol_step
+            points.append(x)
+            residuals.append(resid)
+            if resid <= tol_residual:
+                termination = "residual"
+                break
+            if step_small:
+                termination = "step"
+                break
+            if n >= max_iter:
+                termination = "max_iter"
+                break
+            # lam = 1 collapses the relaxed step to the projection itself; taking
+            # it directly keeps euler(1) and discrete bit-identical.
+            if mode == "discrete" or lam == 1.0:
+                x = q
+            else:
+                x = x + lam * (q - x)
+                if not np.all(np.isfinite(x)):
+                    raise NonFiniteError(f"iterate {n + 1} is not finite")
     index = np.arange(len(points)) * (1.0 if mode == "discrete" else lam)
     z_flat = None if z is None else as_vector(z)
     return _trajectory(

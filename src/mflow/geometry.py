@@ -20,6 +20,7 @@ __all__ = [
     "project_halfspace",
     "project_onto_halfspaces",
     "haugazeau_projection",
+    "haugazeau_rows",
     "Cap",
     "INSIDE_DHAT",
     "INSIDE_D_ONLY",
@@ -42,32 +43,47 @@ class EmptyIntersectionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class HalfSpace:
-    """The set ``{h : <h, normal> <= offset}``.
+    """The set ``{h : <h, normal> <= offset}``, or a stack of such sets.
 
-    A zero normal is legal and denotes the whole space when ``offset >= 0``
-    and the empty set otherwise.
+    A stack holds ``normal`` of shape ``(k, dim)`` and ``offset`` of shape
+    ``(k,)``, one cut per row.  A zero normal is legal and denotes the whole
+    space when ``offset >= 0`` and the empty set otherwise.
     """
 
     normal: np.ndarray
     offset: float
 
     def __post_init__(self):
-        n = as_vector(self.normal)
+        n = np.array(self.normal, dtype=float)
+        offset = np.array(self.offset, dtype=float)
+        if n.ndim not in (1, 2) or n.shape[-1] == 0 or offset.shape != n.shape[:-1]:
+            raise ValueError(
+                f"a halfspace needs a normal of shape (dim,) or (k, dim) and an offset "
+                f"of shape () or (k,), got {n.shape} and {offset.shape}"
+            )
+        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(offset))):
+            raise ValueError("halfspace normal and offset must be finite")
         n.setflags(write=False)
+        offset.setflags(write=False)
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
+        # a single cut keeps a scalar offset
+        object.__setattr__(self, "offset", offset[()])
 
     @property
     def is_whole_space(self):
-        return bool(np.all(self.normal == 0.0) and self.offset >= 0.0)
+        return np.all(self.normal == 0.0, axis=-1) & (self.offset >= 0.0)
 
     @property
     def is_empty(self):
-        return bool(np.all(self.normal == 0.0) and self.offset < 0.0)
+        return np.all(self.normal == 0.0, axis=-1) & (self.offset < 0.0)
 
     def violation(self, x):
-        """Signed constraint value ``<x, normal> - offset`` (<= 0 means feasible)."""
-        return float(x @ self.normal - self.offset)
+        """Signed constraint value ``<x, normal> - offset`` (<= 0 means feasible).
+
+        One value per row when ``x`` or the cut is a stack.
+        """
+        value = np.vecdot(x, self.normal) - self.offset
+        return float(value) if value.ndim == 0 else value
 
     def contains(self, x, tol=GEOM_TOL):
         return self.violation(x) <= tol
@@ -77,25 +93,34 @@ def halfspace_of(z1, z2):
     """Halfspace ``{h : <h - z2, z1 - z2> <= 0}`` in normal/offset form.
 
     For ``z1 == z2`` this is the whole space, returned as the zero normal
-    with zero offset.
+    with zero offset.  Either point may be a ``(k, dim)`` stack; the result
+    is then a stack of ``k`` cuts.
     """
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
-    if z1.shape != z2.shape:
-        raise ValueError(f"dimension mismatch: {z1.shape[0]} vs {z2.shape[0]}")
+    if z1.shape[-1:] != z2.shape[-1:]:
+        raise ValueError(f"dimension mismatch: {z1.shape[-1]} vs {z2.shape[-1]}")
     a = z1 - z2
-    return HalfSpace(a, float(z2 @ a))
+    return HalfSpace(a, np.vecdot(z2, a))
 
 
 def project_halfspace(hs, w):
-    """Euclidean projection of ``w`` onto a nonempty halfspace."""
-    if hs.is_empty:
+    """Euclidean projection of ``w`` onto a nonempty halfspace.
+
+    For a stack of cuts, or a stack of points ``w``, one projection per row.
+    """
+    if np.any(hs.is_empty):
         raise EmptyIntersectionError("cannot project onto an empty halfspace")
-    w = np.array(w, dtype=float)
-    viol = w @ hs.normal - hs.offset
-    if viol <= 0.0:
-        return w
-    return w - (viol / float(hs.normal @ hs.normal)) * hs.normal
+    return _project_cut(hs.normal, hs.offset, np.asarray(w, dtype=float))
+
+
+def _project_cut(normal, offset, w):
+    """Project ``w`` onto ``{h : <h, normal> <= offset}`` row by row; no emptiness test."""
+    viol = np.vecdot(w, normal) - offset
+    # the step is also evaluated where w is feasible, where the normal may vanish
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step = (viol / np.vecdot(normal, normal))[..., None] * normal
+    return np.where(viol[..., None] > 0.0, w - step, w)
 
 
 def haugazeau_projection(w, b, c, return_case=False):
@@ -155,42 +180,85 @@ def haugazeau_projection(w, b, c, return_case=False):
     return (out, case) if return_case else out
 
 
+def haugazeau_rows(w, b_rows, c_rows):
+    """:func:`haugazeau_projection` of one anchor ``w`` for every row of ``b``, ``c``.
+
+    The case is chosen per row, and every row equals the single-point
+    result bit for bit.  A case (iv) row raises
+    :class:`EmptyIntersectionError`.
+    """
+    wb = w - b_rows
+    bc = b_rows - c_rows
+    pi = np.vecdot(wb, bc)
+    mu = np.vecdot(wb, wb)
+    nu = np.vecdot(bc, bc)
+    rho = mu * nu - pi * pi
+    case_i = rho <= GEOM_TOL * mu * nu
+    if np.any(case_i & (pi < 0.0)):
+        raise EmptyIntersectionError("parallel opposing cuts: empty intersection (case iv)")
+    case_ii = pi * nu >= rho
+    cb = c_rows - b_rows
+    # every case's formula is evaluated on every row, where it may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out_ii = w + (1.0 + pi / nu)[:, None] * cb
+        out_iii = b_rows + (nu / rho)[:, None] * (pi[:, None] * wb + mu[:, None] * cb)
+    out = np.where(case_ii[:, None], out_ii, out_iii)
+    return np.where(case_i[:, None], c_rows, out)
+
+
 def project_onto_halfspaces(halfspaces, w):
     """Project ``w`` onto the intersection of at most two halfspaces.
 
     Used by the diagnostics for moving-set projections given as explicit
-    cuts.  Candidates are enumerated over the active sets (none, one, both)
-    and the closest feasible one wins.
+    cuts.  A whole-space cut is ignored; for two other cuts, candidates are
+    enumerated over the active sets (none, one, both) and the closest
+    feasible one wins.  When the cuts are stacks of ``k`` rows, ``w`` is
+    projected onto each row's intersection and the result has ``k`` rows.
     """
     w = np.asarray(w, dtype=float)
-    hs = [h for h in halfspaces if not h.is_whole_space]
-    if any(h.is_empty for h in hs):
-        raise EmptyIntersectionError("an empty halfspace was supplied")
-    if len(hs) > 2:
+    if len(halfspaces) > 2:
         raise ValueError("only intersections of at most two halfspaces are supported")
-    if not hs:
-        return w.copy()
-    if len(hs) == 1:
-        return project_halfspace(hs[0], w)
+    if any(np.any(h.is_empty) for h in halfspaces):
+        raise EmptyIntersectionError("an empty halfspace was supplied")
+    if len(halfspaces) < 2:
+        return project_halfspace(halfspaces[0], w) if halfspaces else w.copy()
 
-    h1, h2 = hs
-    candidates = [w.copy(), project_halfspace(h1, w), project_halfspace(h2, w)]
-    A = np.vstack([h1.normal, h2.normal])
-    beta = np.array([h1.offset, h2.offset])
-    gram = A @ A.T
-    if abs(np.linalg.det(gram)) > 1e-14 * max(gram[0, 0] * gram[1, 1], 1e-300):
-        lam = np.linalg.solve(gram, A @ w - beta)
-        candidates.append(w - A.T @ lam)
+    h1, h2 = halfspaces
+    shape = np.broadcast_shapes(w.shape, h1.normal.shape, h2.normal.shape)
+    dim, rows = shape[-1], shape[:-1]
+    # one row axis, of length 1 when neither cut is a stack
+    n1, n2 = (np.broadcast_to(h.normal, shape).reshape(-1, dim) for h in halfspaces)
+    o1, o2 = (np.broadcast_to(h.offset, rows).reshape(-1) for h in halfspaces)
+    whole = [np.broadcast_to(h.is_whole_space, rows).reshape(-1) for h in halfspaces]
+    p1 = _project_cut(n1, o1, w)
+    p2 = _project_cut(n2, o2, w)
 
-    scale = 1.0 + float(np.linalg.norm(w))
-    feasible = [
-        x
-        for x in candidates
-        if h1.violation(x) <= GEOM_TOL * scale and h2.violation(x) <= GEOM_TOL * scale
-    ]
-    if not feasible:
+    A = np.stack([n1, n2], axis=-2)
+    gram = A @ A.mT
+    solvable = np.abs(np.linalg.det(gram)) > 1e-14 * np.maximum(
+        gram[:, 0, 0] * gram[:, 1, 1], 1e-300
+    )
+    gram = np.where(solvable[:, None, None], gram, np.eye(2))
+    rhs = A @ w - np.stack([o1, o2], axis=-1)
+    lam = np.linalg.solve(gram, rhs[..., None])
+    joint = w - (A.mT @ lam)[..., 0]
+
+    candidates = np.stack([np.broadcast_to(w, p1.shape), p1, p2, joint], axis=1)
+    limit = GEOM_TOL * (1.0 + float(np.linalg.norm(w)))
+    feasible = (np.vecdot(candidates, n1[:, None]) - o1[:, None] <= limit) & (
+        np.vecdot(candidates, n2[:, None]) - o2[:, None] <= limit
+    )
+    feasible[:, 3] &= solvable
+    both = ~whole[0] & ~whole[1]
+    if np.any(both & ~np.any(feasible, axis=1)):
         raise EmptyIntersectionError("no feasible candidate: empty intersection")
-    return min(feasible, key=lambda x: float(np.linalg.norm(x - w)))
+    diff = candidates - w
+    dist = np.where(feasible, np.sqrt(np.vecdot(diff, diff)), np.inf)
+    # the first closest candidate, as min() over the list [w, p1, p2, joint]
+    best = candidates[np.arange(len(candidates)), np.argmin(dist, axis=1)]
+    # a row with one active cut is projected onto it; with none, p2 is w
+    single = np.where(whole[0][:, None], p2, p1)
+    return np.where(both[:, None], best, single).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)

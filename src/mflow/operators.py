@@ -5,6 +5,10 @@ resolvent ``J(gamma, x)``, the unique ``y`` with ``(x - y)/gamma`` in ``A(y)``,
 i.e. the standard ``(Id + gamma A)^{-1}``.  The Yosida approximation
 ``(x - J(gamma, x)) / gamma`` is derived from it and pairs with the resolvent
 output as a graph point of ``A``.
+
+Resolvents and linear maps take one point (a 1-D array) or a stack of
+points (a ``(k, dim)`` array, one point per row) and map each row as they
+map a single point, bit for bit.
 """
 
 import numpy as np
@@ -108,7 +112,11 @@ class BoxNormalCone(MonotoneOperator):
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
-        return np.clip(x, self.lower, self.upper)
+        # comparisons, not np.clip: its min/max may return either signed zero
+        # at a zero bound, differently for a row than for a single point
+        x = np.asarray(x, dtype=float)
+        below_upper = np.where(x > self.upper, self.upper, x)
+        return np.where(x < self.lower, self.lower, below_upper)
 
     def member(self, x, y, tol=1e-8):
         x = as_vector(x)
@@ -136,12 +144,12 @@ class BallNormalCone(MonotoneOperator):
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
-        x = np.array(x, dtype=float)
+        x = np.asarray(x, dtype=float)
         d = x - self.center
-        dist = np.linalg.norm(d)
-        if dist <= self.radius:
-            return x
-        return self.center + (self.radius / dist) * d
+        dist = np.sqrt(np.vecdot(d, d))[..., None]
+        # the radial formula is also evaluated on rows inside the ball
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.where(dist <= self.radius, x, self.center + (self.radius / dist) * d)
 
     def member(self, x, y, tol=1e-8):
         x = as_vector(x)
@@ -190,7 +198,8 @@ class LinearMonotone(MonotoneOperator):
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
-        return np.linalg.solve(np.eye(self.dim) + gamma * self.matrix, x)
+        K = np.eye(self.dim) + gamma * self.matrix
+        return np.linalg.solve(K, np.asarray(x, dtype=float)[..., None])[..., 0]
 
     def member(self, x, y, tol=1e-8):
         x = as_vector(x)
@@ -221,10 +230,16 @@ class LinearMap:
         return self.matrix.shape[0]
 
     def apply(self, x):
-        return self.matrix @ x
+        x = np.asarray(x)
+        if x.ndim == 1:
+            return self.matrix @ x
+        return np.matmul(self.matrix, x[..., None])[..., 0]
 
     def adjoint(self, y):
-        return self.matrix.T @ y
+        y = np.asarray(y)
+        if y.ndim == 1:
+            return self.matrix.T @ y
+        return np.matmul(self.matrix.T, y[..., None])[..., 0]
 
     def __call__(self, x):
         return self.apply(x)

@@ -8,6 +8,9 @@ validated at construction by the fixed-point residual of its oracle.
 The two planar fixtures predate the projection-based construction; they are
 raw fields with their own cap geometry and closed-form reference
 trajectories, used to exercise the assumption checker and the integrator.
+Their fields, and lens-drift's extension, map a ``(k, 2)`` stack of points
+row by row, as the checks require; box-flow's branching extension takes
+one point per call.
 """
 
 import itertools
@@ -195,7 +198,8 @@ def lens_drift():
     cap = Cap(w, z, 1.0)
 
     def drift(x):
-        return np.array([1.0 - x[0], 0.0])
+        x = np.asarray(x, dtype=float)
+        return np.stack([1.0 - x[..., 0], np.zeros_like(x[..., 1])], axis=-1)
 
     fld = VectorField(fn=drift, cap=cap)
     extended = VectorField(fn=drift)
@@ -251,8 +255,10 @@ def box_flow():
     cap = Cap(w, z, 1.0)
 
     def contraction(x):
-        return np.array([1.0 - x[0], -x[1]])
+        x = np.asarray(x, dtype=float)
+        return np.stack([1.0 - x[..., 0], -x[..., 1]], axis=-1)
 
+    # branchy and only ever integrated, never checked: one point per call
     def extended_fn(x):
         x1, x2 = float(x[0]), float(x[1])
         if _in_notched_box(x1, x2):

@@ -24,6 +24,7 @@ __all__ = [
     "KTStep",
     "kt_operator",
     "kt_apply_flat",
+    "kt_apply_rows",
     "kt_residual",
     "fixed_point_operator",
     "S_STAR_TOL",
@@ -101,7 +102,9 @@ class KTStep:
 def _kt_blocks(inst, p, v):
     """Block resolvents and the separating cut at (p, v).
 
-    Returns ``(a, b, a_star, b_star, s_flat, eta)`` where
+    ``p`` and ``v`` are one point's blocks, or stacks of them with one point
+    per row; eta is then one level per row.  Returns
+    ``(a, b, a_star, b_star, s_flat, eta)`` where
 
         a = J_{gamma A}(p - gamma L* v),    b = J_{mu B}(L p + mu v),
 
@@ -118,8 +121,11 @@ def _kt_blocks(inst, p, v):
     b = inst.B.resolvent(inst.mu, ub)
     b_star = (ub - b) / inst.mu
 
-    s_flat = np.concatenate([a_star + L.adjoint(b_star), b - L.apply(a)])
-    eta = float(a @ a_star + b @ b_star)
+    s_flat = np.concatenate([a_star + L.adjoint(b_star), b - L.apply(a)], axis=-1)
+    if p.ndim == 1:
+        eta = float(a @ a_star + b @ b_star)
+    else:
+        eta = np.vecdot(a, a_star) + np.vecdot(b, b_star)
     return a, b, a_star, b_star, s_flat, eta
 
 
@@ -172,6 +178,24 @@ def kt_apply_flat(inst, x_flat):
     return _cut_projection(x_flat, s_flat, eta)
 
 
+def kt_apply_rows(inst, x_rows):
+    """:func:`kt_apply_flat` on a ``(k, dim)`` stack of points, one per row.
+
+    Returns ``(tx_rows, residuals)``; every row equals the single-point
+    result bit for bit, and rows with no cut keep ``x`` exactly.
+    """
+    n = inst.dim_p
+    _, _, _, _, s_rows, eta = _kt_blocks(inst, x_rows[:, :n], x_rows[:, n:])
+    s_norm_sq = np.vecdot(s_rows, s_rows)
+    viol = np.vecdot(x_rows, s_rows) - eta
+    moved = (np.sqrt(s_norm_sq) > S_STAR_TOL) & (viol > 0.0)
+    # the projection is also evaluated on the rows it does not move
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tx = x_rows - (viol / s_norm_sq)[:, None] * s_rows
+        resid = viol / np.sqrt(s_norm_sq)
+    return np.where(moved[:, None], tx, x_rows), np.where(moved, resid, 0.0)
+
+
 def kt_residual(inst, x):
     """Fixed-point residual ``||Tx - x||``; zero exactly on the Kuhn-Tucker set."""
     if isinstance(x, PDPoint):
@@ -206,12 +230,13 @@ def fixed_point_operator(kind, **params):
         ``0 in A x + B x``.
     ``"kuhn_tucker"``
         The coupling operator of a :class:`ProblemInstance` on flat vectors
-        of dimension ``dim_p + dim_v``; fixed points are the Kuhn-Tucker
-        pairs.
+        of dimension ``dim_p + dim_v``, or on a ``(k, dim)`` stack of them,
+        one per row; fixed points are the Kuhn-Tucker pairs.
 
     Returns
     -------
-    callable mapping a flat vector to a flat vector.
+    callable mapping a flat vector to a flat vector.  Every kind but
+    ``"forward_backward"`` also maps a stack of rows, row by row.
     """
     if kind == "projection":
         return _projection_onto_set(params["set_op"])
@@ -245,6 +270,9 @@ def fixed_point_operator(kind, **params):
         inst = params["instance"]
 
         def kt_map(x):
+            x = np.asarray(x, dtype=float)
+            if x.ndim == 2:
+                return kt_apply_rows(inst, x)[0]
             point = PDPoint.from_flat(x, inst.dim_p)
             return kt_operator(inst, point).Tx.flat
 

@@ -166,6 +166,45 @@ def test_overflowing_step_exit_three(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("breakdown:")
 
 
+def run_mflow(argv, cwd):
+    """``python -m mflow`` in a fresh interpreter; numpy warnings reach its stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mflow.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "mflow", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--max-iter", "50"],
+        ["integrate", "--lambda", "0.5", "--t-final", "20"],
+    ],
+    ids=["solve", "integrate"],
+)
+def test_overflowing_step_stderr_is_one_breakdown_line(tmp_path, argv):
+    path = tmp_path / "ovf.json"
+    path.write_text(json.dumps(OVERFLOW_DOC))
+    run = run_mflow(argv + ["--instance", str(path), "--out", str(tmp_path)], tmp_path)
+    assert run.returncode == 3
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("breakdown:"), run.stderr
+
+
+@pytest.mark.parametrize("tag, code", [("lasso3x2", 0), ("lens-drift", 2)])
+def test_check_writes_no_stderr(tmp_path, tag, code):
+    # the row kernels evaluate the branches they discard; no warning may leak
+    argv = ["check", "--instance", tag, "--samples", "512", "--out", str(tmp_path)]
+    run = run_mflow(argv, tmp_path)
+    assert run.returncode == code
+    assert run.stderr == ""
+
+
 def test_cli_import_loads_no_scipy():
     # SciPy is imported lazily by diagnostics.sample_cap only
     code = (

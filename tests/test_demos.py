@@ -1,4 +1,5 @@
-"""Every demo runs to completion from a fresh interpreter and prints its results."""
+"""Every demo runs to completion from a fresh interpreter, prints its results and
+writes nothing to stderr."""
 
 import os
 import subprocess
@@ -29,3 +30,4 @@ def test_demo_runs(demo, tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip()
+    assert run.stderr == ""

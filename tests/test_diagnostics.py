@@ -39,6 +39,11 @@ class TestSampleCap:
         for x in lens_samples:
             assert cap_membership(lens.cap, x) == INSIDE_DHAT
 
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.5, True, "8"])
+    def test_rejects_non_positive_integer(self, lens, n_samples):
+        with pytest.raises(ValueError, match="positive integer"):
+            sample_cap(lens.cap, n_samples=n_samples)
+
     def test_deterministic_for_seed(self, lens):
         a = sample_cap(lens.cap, n_samples=64, seed=7)
         b = sample_cap(lens.cap, n_samples=64, seed=7)
@@ -47,13 +52,46 @@ class TestSampleCap:
         assert not np.array_equal(a, c)
 
 
+class TestFieldCalls:
+    def test_one_field_call_per_check(self, lens, lens_samples):
+        shapes = []
+
+        def drift(x):
+            shapes.append(np.shape(x))
+            return lens.field(x)
+
+        F = VectorField(fn=drift, cap=lens.cap)
+        check_unique_zero(F, lens.cap, lens.z, lens_samples)
+        check_cap_invariance(F, lens.cap, lens_samples)
+        check_outward_drift(F, lens.cap, lens_samples)
+        check_strict_drift(F, lens_samples, lens.cap.w, lens.z)
+        n = len(lens_samples)
+        assert shapes == [(n + 1, 2), (n, 2), (n, 2), (n, 2)]
+
+    @pytest.mark.parametrize(
+        "fn, match",
+        [
+            (lambda x: np.zeros(2), "shape"),
+            (lambda x: np.full_like(x, np.nan), "finite"),
+        ],
+        ids=["single-point-field", "nan"],
+    )
+    def test_field_output_checked(self, lens, lens_samples, fn, match):
+        F = VectorField(fn=fn)
+        for check in (check_cap_invariance, check_outward_drift):
+            with pytest.raises(ValueError, match=match):
+                check(F, lens.cap, lens_samples)
+        with pytest.raises(ValueError, match=match):
+            check_unique_zero(F, lens.cap, lens.z, lens_samples)
+
+
 class TestUniqueZero:
     def test_passes_on_drift_fixture(self, lens, lens_samples):
         rep = check_unique_zero(lens.field, lens.cap, lens.z, lens_samples)
         assert rep.passed
 
     def test_everything_is_a_zero_fails(self, lens, lens_samples):
-        zero = VectorField(fn=lambda x: np.zeros(2))
+        zero = VectorField(fn=lambda x: np.zeros_like(x))
         rep = check_unique_zero(zero, lens.cap, lens.z, lens_samples)
         assert not rep.passed
         assert rep.witness is not None
@@ -91,7 +129,7 @@ class TestCapInvariance:
         assert rep.passed
 
     def test_zero_field_trivially_invariant(self, lens, lens_samples):
-        zero = VectorField(fn=lambda x: np.zeros(2))
+        zero = VectorField(fn=lambda x: np.zeros_like(x))
         rep = check_cap_invariance(zero, lens.cap, lens_samples)
         assert rep.passed
 
@@ -188,6 +226,42 @@ class TestProjectionConditions:
         reports = check_projection_conditions(builder, named.cap, samples)
         stationarity = reports[0]
         assert not stationarity.passed
+
+
+    def test_samples_at_the_reference_are_skipped(self):
+        named = get_instance("quadratic3x2")
+        F = build_field(named.instance, cap=named.cap)
+        samples = np.vstack([named.z, sample_cap(named.cap, n_samples=32, seed=4)])
+        assert check_unique_zero(F, named.cap, named.z, samples).passed
+        T = fixed_point_operator("kuhn_tucker", instance=named.instance)
+        builder = cut_pair_builder(T, named.cap.w)
+        reports = check_projection_conditions(builder, named.cap, samples, tol=1e-6)
+        # z is its own fixed point; its spurious-fixed-point entry, 1e-6, is skipped
+        assert reports[0].passed and reports[0].worst_violation < 1e-8
+
+    def test_non_finite_cut_rejected(self):
+        # a NaN offset used to make every comparison false: all four reports passed
+        named = get_instance("quadratic1d")
+        samples = sample_cap(named.cap, n_samples=16, seed=5)
+        with pytest.raises(ValueError, match="finite"):
+            check_projection_conditions(
+                lambda x: [HalfSpace([1.0, 0.0], float("nan"))], named.cap, samples
+            )
+
+    def test_one_builder_call_for_all_samples(self):
+        named = get_instance("quadratic3x2")
+        T = fixed_point_operator("kuhn_tucker", instance=named.instance)
+        build = cut_pair_builder(T, named.cap.w)
+        shapes = []
+
+        def builder(x):
+            shapes.append(np.shape(x))
+            return build(x)
+
+        samples = sample_cap(named.cap, n_samples=32, seed=3)
+        reports = check_projection_conditions(builder, named.cap, samples)
+        assert shapes == [named.z.shape, samples.shape]
+        assert all(r.passed for r in reports)
 
 
 class TestConvergenceReport:

@@ -16,7 +16,7 @@ from mflow import (
     project_onto_halfspaces,
 )
 
-from .oracles import two_cut_projection_oracle
+from .oracles import project_two_constraints, two_cut_projection_oracle
 
 
 class TestHalfSpaceOf:
@@ -40,6 +40,22 @@ class TestHalfSpaceOf:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             halfspace_of([1.0], [1.0, 2.0])
+
+
+class TestHalfSpace:
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_offset_rejected(self, offset):
+        with pytest.raises(ValueError, match="finite"):
+            HalfSpace([1.0, 0.0], offset)
+        with pytest.raises(ValueError, match="finite"):
+            HalfSpace([[1.0, 0.0], [0.0, 1.0]], [0.0, offset])
+
+    def test_stack_shapes(self):
+        hs = HalfSpace([[1.0, 0.0], [0.0, 2.0]], [0.5, 1.0])
+        assert hs.violation([1.0, 1.0]).tolist() == [0.5, 1.0]
+        assert hs.contains([0.0, 0.0]).tolist() == [True, True]
+        with pytest.raises(ValueError, match="offset"):
+            HalfSpace([[1.0, 0.0], [0.0, 2.0]], 0.5)
 
 
 class TestProjectHalfspace:
@@ -151,6 +167,34 @@ class TestProjectOntoHalfspaces:
             got = project_onto_halfspaces(cuts, w)
             ref = haugazeau_projection(w, b, c)
             assert got == pytest.approx(ref, abs=1e-9)
+
+    def test_stacked_cuts_match_oracle(self, rng):
+        # rows with two general cuts, two parallel cuts, or one whole-space cut
+        w = rng.standard_normal(3)
+        normals, offsets = [], []
+        for kind in ("general", "parallel", "second_whole", "first_whole") * 30:
+            a1 = rng.standard_normal(3)
+            a2 = {"general": rng.standard_normal(3), "parallel": 2.5 * a1}.get(kind)
+            a2 = np.zeros(3) if a2 is None else a2
+            pair = [a1, a2]
+            beta = [rng.standard_normal(), abs(rng.standard_normal())]
+            if kind == "first_whole":
+                pair, beta = pair[::-1], beta[::-1]
+            normals.append(pair)
+            offsets.append(beta)
+        normals, offsets = np.array(normals), np.array(offsets)
+        cuts = [HalfSpace(normals[:, i], offsets[:, i]) for i in (0, 1)]
+        got = project_onto_halfspaces(cuts, w)
+        for row, a, beta in zip(got, normals, offsets):
+            ref = project_two_constraints(w, a, beta)
+            assert np.linalg.norm(row - ref) <= 1e-9 * (1.0 + np.linalg.norm(ref))
+
+    def test_lone_active_cut_is_projected_onto(self):
+        # no feasibility screen for one cut: w within the tolerance still moves
+        cut = HalfSpace([1.0, 0.0], -1e-12)
+        whole = HalfSpace([0.0, 0.0], 0.0)
+        got = project_onto_halfspaces([cut, whole], [0.0, 0.0])
+        assert got.tolist() == [-1e-12, 0.0]
 
     def test_too_many_halfspaces(self):
         hs = HalfSpace([1.0], 0.0)
