@@ -21,11 +21,9 @@ A run document may carry any of the CLI settings (``instance``, ``mode``,
 
 import json
 
-import numpy as np
-
 from .operators import LinearMap, operator_from_config
 from .problems import DEFAULT_FLOOR_FRACTION, NamedInstance, get_instance, make_cap
-from .space import PDPoint
+from .space import PDPoint, as_vector
 from .splitting import ProblemInstance
 
 __all__ = ["ConfigError", "load_json", "instance_from_doc", "resolve_instance"]
@@ -78,7 +76,7 @@ def instance_from_doc(doc, path="<config>"):
     cap = None
     if doc.get("z") is not None:
         try:
-            z = np.asarray(doc["z"], dtype=float)
+            z = as_vector(doc["z"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad solution 'z': {exc}") from exc
         if z.shape != (inst.dim,):

@@ -29,6 +29,16 @@ __all__ = [
 ]
 
 
+def _as_matrix(matrix):
+    """Coerce ``matrix`` to a 2-D float64 array, rejecting NaN/Inf entries."""
+    M = np.array(matrix, dtype=float)
+    if M.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix entries must be finite")
+    return M
+
+
 def _check_gamma(gamma):
     if not gamma > 0:
         raise ValueError(f"resolvent step must be positive, got {gamma}")
@@ -185,8 +195,8 @@ class LinearMonotone(MonotoneOperator):
     """
 
     def __init__(self, matrix):
-        M = np.array(matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        M = _as_matrix(matrix)
+        if M.shape[0] != M.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {M.shape}")
         sym = 0.5 * (M + M.T)
         lam_min = float(np.linalg.eigvalsh(sym).min())
@@ -211,9 +221,7 @@ class LinearMap:
     """Dense linear map with its adjoint (the transpose)."""
 
     def __init__(self, matrix):
-        M = np.array(matrix, dtype=float)
-        if M.ndim != 2:
-            raise ValueError(f"expected a matrix, got shape {M.shape}")
+        M = _as_matrix(matrix)
         M.setflags(write=False)
         self.matrix = M
 

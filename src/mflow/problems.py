@@ -83,35 +83,51 @@ def make_cap(w_flat, z_flat, floor_fraction):
 
 def _finalize(tag, inst, z_flat):
     resid = kt_residual(inst, z_flat)
-    if resid > ORACLE_RESIDUAL_TOL:
+    if not resid <= ORACLE_RESIDUAL_TOL:  # a NaN residual fails too
         raise ValueError(
             f"instance {tag!r}: oracle fails the fixed-point residual "
-            f"({resid:.3e} > {ORACLE_RESIDUAL_TOL})"
+            f"(residual {resid:.3e}, tolerance {ORACLE_RESIDUAL_TOL})"
         )
     cap = make_cap(inst.w.flat, z_flat, DEFAULT_FLOOR_FRACTION)
     return NamedInstance(tag=tag, instance=inst, cap=cap, z=z_flat)
 
 
+def _shifted_gram(X):
+    """``I + X X^T``, adding the identity to the diagonal in place."""
+    G = X @ X.T
+    G.flat[:: G.shape[0] + 1] += 1.0
+    return G
+
+
 def quadratic_instance(p0, q0, L, gamma=0.5, mu=0.5, w=None, x0=None, tag="quadratic"):
     """Coupled quadratic blocks: ``A p = p - p0`` and ``B q = q - q0``.
 
-    The solution solves the dense normal equations
-    ``(I + L^T L) p = p0 + L^T q0`` with dual ``v = L p - q0``; this linear
-    solve is the oracle, independent of the iteration.
+    The Kuhn-Tucker system ``p + L^T v = p0``, ``L p - v = q0`` is solved
+    densely through the smaller of its two normal equations:
+    ``(I + L L^T) v = L p0 - q0`` with ``p = p0 - L^T v`` when L is wide
+    (m < n), else ``(I + L^T L) p = p0 + L^T q0`` with ``v = L p - q0``.
+    Their spectra differ only by extra eigenvalues 1, so the smaller matrix
+    is no worse conditioned, and it is cheaper to form and to solve.
+    This linear solve is the oracle, independent of the iteration.
     """
     p0 = as_vector(p0)
     q0 = as_vector(q0)
     L = L if isinstance(L, LinearMap) else LinearMap(L)
     n = p0.shape[0]
-    if L.shape != (q0.shape[0], n):
-        raise ValueError(f"L has shape {L.shape}, expected ({q0.shape[0]}, {n})")
+    m = q0.shape[0]
+    if L.shape != (m, n):
+        raise ValueError(f"L has shape {L.shape}, expected ({m}, {n})")
 
     M = L.matrix
-    p_star = np.linalg.solve(np.eye(n) + M.T @ M, p0 + M.T @ q0)
-    v_star = M @ p_star - q0
+    if m < n:
+        v_star = np.linalg.solve(_shifted_gram(M), M @ p0 - q0)
+        p_star = p0 - M.T @ v_star
+    else:
+        p_star = np.linalg.solve(_shifted_gram(M.T), p0 + M.T @ q0)
+        v_star = M @ p_star - q0
     z_flat = np.concatenate([p_star, v_star])
 
-    w = PDPoint(np.zeros(n), np.zeros(q0.shape[0])) if w is None else w
+    w = PDPoint(np.zeros(n), np.zeros(m)) if w is None else w
     x0 = w if x0 is None else x0
     inst = ProblemInstance(
         A=Quadratic(p0), B=Quadratic(q0), L=L, gamma=gamma, mu=mu, w=w, x0=x0

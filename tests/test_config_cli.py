@@ -42,8 +42,9 @@ class TestConfig:
             instance_from_doc(doc)
 
     def test_non_numeric_z(self):
-        with pytest.raises(ConfigError, match="'z'"):
-            instance_from_doc(dict(INSTANCE_DOC, z=["a", "b"]))
+        for bad in (["a", "b"], [float("nan"), 0.0], [0.5, float("inf")]):
+            with pytest.raises(ConfigError, match="bad solution 'z'"):
+                instance_from_doc(dict(INSTANCE_DOC, z=bad))
 
     def test_floor_fraction(self):
         named = instance_from_doc(dict(INSTANCE_DOC, floor_fraction=0.5))
@@ -286,6 +287,14 @@ class TestSolveCommand:
     def test_raw_field_instance_rejected(self, tmp_path):
         code = main(["solve", "--instance", "lens-drift", "--out", str(tmp_path)])
         assert code == 1
+
+    def test_nonfinite_coupling_map_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(dict(INSTANCE_DOC, L=[[float("nan")]])))
+        code = main(["solve", "--instance", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "finite" in err
 
     def test_config_file_supplies_settings(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -95,6 +95,11 @@ def test_invalid_parameters():
         L1(weight=0.0)
     with pytest.raises(ValueError):
         LinearMonotone([[-1.0]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LinearMap([[bad, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            LinearMonotone([[bad]])
 
 
 def _random_point(op, rng):

@@ -24,8 +24,9 @@ class TestQuadraticInstance:
         assert named.z == pytest.approx([2 / 3, 2 / 3, -2 / 3], abs=1e-13)
 
     def test_oracle_matches_dense_kkt_solve(self, rng):
-        for _ in range(20):
-            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        shapes = [(int(rng.integers(1, 5)), int(rng.integers(1, 4))) for _ in range(20)]
+        # a wide map (m < n) takes the dual normal equations, a tall one the primal
+        for n, m in shapes + [(60, 20), (20, 60)]:
             p0 = rng.standard_normal(n)
             q0 = rng.standard_normal(m)
             L = rng.standard_normal((m, n))
@@ -42,6 +43,12 @@ class TestQuadraticInstance:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             quadratic_instance(p0=[0.0, 0.0], q0=[1.0], L=[[1.0]])
+
+    def test_nonfinite_oracle_rejected(self):
+        # the normal equations overflow; the oracle's residual is NaN, not small
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="oracle"):
+                quadratic_instance(p0=[0.1, 0.2], q0=[0.3], L=[[1e200, 1.0]])
 
 
 class TestLassoInstance:
