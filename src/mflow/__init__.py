@@ -58,11 +58,9 @@ from .operators import (
 )
 from .problems import (
     NamedInstance,
-    box_flow,
     builtin_tags,
     get_instance,
     lasso_instance,
-    lens_drift,
     quadratic_instance,
 )
 from .space import PDPoint, as_vector
@@ -102,7 +100,6 @@ __all__ = [
     "Zero",
     "as_vector",
     "best_approx_iterate",
-    "box_flow",
     "build_field",
     "builtin_tags",
     "cap_membership",
@@ -125,7 +122,6 @@ __all__ = [
     "kt_operator",
     "kt_residual",
     "lasso_instance",
-    "lens_drift",
     "operator_from_config",
     "operator_library",
     "project_halfspace",

@@ -10,7 +10,7 @@ An instance document looks like::
       "gamma": 0.5, "mu": 0.5,
       "w":  {"p": [0.0], "v": [0.0]},
       "x0": {"p": [0.0], "v": [0.0]},
-      "z":  [0.5, -0.5],          // optional known solution
+      "z":  [0.5, -0.5],          // optional solution; must pass the residual check
       "floor_fraction": 0.25      // optional cap floor as a fraction of ||w-z||^2
     }
 
@@ -22,7 +22,12 @@ A run document may carry any of the CLI settings (``instance``, ``mode``,
 import json
 
 from .operators import LinearMap, operator_from_config
-from .problems import DEFAULT_FLOOR_FRACTION, NamedInstance, get_instance, make_cap
+from .problems import (
+    DEFAULT_FLOOR_FRACTION,
+    NamedInstance,
+    checked_instance,
+    get_instance,
+)
 from .space import PDPoint, as_vector
 from .splitting import ProblemInstance
 
@@ -72,25 +77,18 @@ def instance_from_doc(doc, path="<config>"):
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    z = None
-    cap = None
-    if doc.get("z") is not None:
-        try:
-            z = as_vector(doc["z"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad solution 'z': {exc}") from exc
-        if z.shape != (inst.dim,):
-            raise ConfigError(
-                f"{path}: solution 'z' has shape {z.shape}, expected ({inst.dim},)"
-            )
-        frac = doc.get("floor_fraction", DEFAULT_FLOOR_FRACTION)
-        try:
-            cap = make_cap(inst.w.flat, z, float(frac))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad floor_fraction {frac!r}: {exc}") from exc
-    return NamedInstance(
-        tag=str(doc.get("name", "custom")), instance=inst, cap=cap, z=z
-    )
+    tag = str(doc.get("name", "custom"))
+    if doc.get("z") is None:
+        return NamedInstance(tag=tag, instance=inst)
+    try:
+        z = as_vector(doc["z"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad solution 'z': {exc}") from exc
+    frac = doc.get("floor_fraction", DEFAULT_FLOOR_FRACTION)
+    try:
+        return checked_instance(tag, inst, z, frac)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def resolve_instance(selector, path="<config>"):

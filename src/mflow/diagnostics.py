@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import NonFiniteError
 from .geometry import (
     GEOM_TOL,
     INSIDE_DHAT,
@@ -44,7 +45,8 @@ SAMPLE_MAX_BATCHES = 64
 INVARIANCE_STEPS = (0.25, 0.5, 0.75, 1.0)
 # check_strict_drift skips trajectory points this close to the solution.
 STRICT_DRIFT_EXCLUSION = 1e-8
-# Rounding allowance of convergence_report's tail-containment test.
+# Tolerance and rounding allowance of convergence_report's tail-containment test.
+TAIL_EPSILON = 1e-4
 TAIL_SLACK = 1e-9
 
 
@@ -126,11 +128,13 @@ def _field_values(F, x):
     # an empty stack needs no call, and a field need not accept one
     if x.shape[0] == 0:
         return np.empty_like(x)
-    fx = np.asarray(F(x), dtype=float)
+    # a non-finite value raises NonFiniteError below, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = np.asarray(F(x), dtype=float)
     if fx.shape != x.shape:
         raise ValueError(f"the field maps shape {x.shape} to shape {fx.shape}")
     if not np.all(np.isfinite(fx)):
-        raise ValueError("field values must be finite")
+        raise NonFiniteError("field values must be finite")
     return fx
 
 
@@ -361,13 +365,13 @@ def check_projection_conditions(builder, cap, samples, tol=GEOM_TOL):
     return reports
 
 
-def convergence_report(traj, z, w=None, eps=1e-4):
-    """Summarize a run against a known solution ``z``.
+def convergence_report(traj, z, w):
+    """Summarize a run from anchor ``w`` against a known solution ``z``.
 
     Reports the final error, the first iterate crossing each error decade,
     and whether the tail-containment property holds: once
-    ``||x_n - w||^2 >= ||w - z||^2 - eps``, every later iterate satisfies
-    ``||x_m - z||^2 <= eps + TAIL_SLACK``.
+    ``||x_n - w||^2 >= ||w - z||^2 - TAIL_EPSILON``, every later iterate
+    satisfies ``||x_m - z||^2 <= TAIL_EPSILON + TAIL_SLACK``.
     """
     z = as_vector(z)
     pts = traj.points
@@ -381,26 +385,19 @@ def convergence_report(traj, z, w=None, eps=1e-4):
             decades[f"{level:.0e}"] = int(k)
             level /= 10.0
 
-    dist_w_sq = traj.norm_to_w**2
-    if w is not None:
-        gap = float(np.sum((as_vector(w) - z) ** 2))
-    else:
-        # reconstruct ||w - z||^2 from the recorded slack identity
-        gap_sq = traj.fejer_slack + dist_w_sq + errs**2
-        gap = float(np.nanmedian(gap_sq))
+    gap = float(np.sum((as_vector(w) - z) ** 2))
+    reached = traj.norm_to_w**2 >= gap - TAIL_EPSILON
     tail_ok = True
     crossing = None
-    if np.isfinite(gap):
-        reached = dist_w_sq >= gap - eps
-        if np.any(reached):
-            crossing = int(np.argmax(reached))
-            tail_ok = bool(np.all(errs[crossing:] ** 2 <= eps + TAIL_SLACK))
+    if np.any(reached):
+        crossing = int(np.argmax(reached))
+        tail_ok = bool(np.all(errs[crossing:] ** 2 <= TAIL_EPSILON + TAIL_SLACK))
     return {
         "final_error": final_err,
         "iterations": traj.iterations,
         "termination": traj.termination,
         "decade_crossings": decades,
-        "tail_epsilon": eps,
+        "tail_epsilon": TAIL_EPSILON,
         "tail_crossing_index": crossing,
         "tail_contained": tail_ok,
     }

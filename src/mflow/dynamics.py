@@ -42,8 +42,8 @@ __all__ = [
 ]
 
 
-class NonFiniteError(RuntimeError):
-    """An iterate or field value stopped being finite."""
+class NonFiniteError(RuntimeError, ValueError):
+    """A non-finite iterate or field value; the checks raise it as a ValueError."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,23 +170,23 @@ def _euler(F, x0, lam, n_steps):
     return nodes, field_norms
 
 
-def euler_eval(nodes, lam, t, t0=0.0):
+def euler_eval(nodes, lam, t):
     """Piecewise-affine trajectory value at time ``t``.
 
-    On the segment ``[t0 + k lam, t0 + (k+1) lam]`` the trajectory is
-    ``c_k + (t - t0 - k lam) F(c_k)``; node times are reproduced exactly.
+    On the segment ``[k lam, (k+1) lam]`` the trajectory is
+    ``c_k + (t - k lam) F(c_k)``; node times are reproduced exactly.
     """
     nodes = np.asarray(nodes, dtype=float)
     n_steps = nodes.shape[0] - 1
-    s = (t - t0) / lam
+    s = t / lam
     if s < 0.0 or s > n_steps + 1e-12:
-        raise ValueError(f"time {t} outside [{t0}, {t0 + n_steps * lam}]")
+        raise ValueError(f"time {t} outside [0.0, {n_steps * lam}]")
     k = min(int(np.floor(s)), n_steps - 1)
     frac = s - k
     return nodes[k] + frac * (nodes[k + 1] - nodes[k])
 
 
-def euler_defect(F, nodes, lam, t, t0=0.0):
+def euler_defect(F, nodes, lam, t):
     """Defect ``F(c_k) - F(c(t))`` of the affine interpolant at time ``t``.
 
     This is the difference between the trajectory's slope and the field
@@ -195,14 +195,14 @@ def euler_defect(F, nodes, lam, t, t0=0.0):
     """
     nodes = np.asarray(nodes, dtype=float)
     n_steps = nodes.shape[0] - 1
-    s = (t - t0) / lam
+    s = t / lam
     if s < -1e-12 or s > n_steps + 1e-12:
-        raise ValueError(f"time {t} outside [{t0}, {t0 + n_steps * lam}]")
+        raise ValueError(f"time {t} outside [0.0, {n_steps * lam}]")
     if abs(s - round(s)) < 1e-12:
         return np.zeros(nodes.shape[1])
     k = min(int(np.floor(s)), n_steps - 1)
     slope = (nodes[k + 1] - nodes[k]) / lam
-    return slope - as_vector(F(euler_eval(nodes, lam, t, t0)))
+    return slope - as_vector(F(euler_eval(nodes, lam, t)))
 
 
 def _kt_projection_step(inst, x_flat, w_flat):

@@ -235,19 +235,21 @@ def project_onto_halfspaces(halfspaces, w):
 
     A = np.stack([n1, n2], axis=-2)
     gram = A @ A.mT
-    solvable = np.abs(np.linalg.det(gram)) > 1e-14 * np.maximum(
-        gram[:, 0, 0] * gram[:, 1, 1], 1e-300
-    )
-    gram = np.where(solvable[:, None, None], gram, np.eye(2))
-    rhs = A @ w - np.stack([o1, o2], axis=-1)
-    lam = np.linalg.solve(gram, rhs[..., None])
-    joint = w - (A.mT @ lam)[..., 0]
-
-    candidates = np.stack([np.broadcast_to(w, p1.shape), p1, p2, joint], axis=1)
     limit = GEOM_TOL * (1.0 + float(np.linalg.norm(w)))
-    feasible = (np.vecdot(candidates, n1[:, None]) - o1[:, None] <= limit) & (
-        np.vecdot(candidates, n2[:, None]) - o2[:, None] <= limit
-    )
+    # a normal whose square underflows degrades the Gram data and makes
+    # candidates infinite; the NaN this leads to propagates
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        solvable = np.abs(np.linalg.det(gram)) > 1e-14 * np.maximum(
+            gram[:, 0, 0] * gram[:, 1, 1], 1e-300
+        )
+        gram = np.where(solvable[:, None, None], gram, np.eye(2))
+        rhs = A @ w - np.stack([o1, o2], axis=-1)
+        lam = np.linalg.solve(gram, rhs[..., None])
+        joint = w - (A.mT @ lam)[..., 0]
+        candidates = np.stack([np.broadcast_to(w, p1.shape), p1, p2, joint], axis=1)
+        feasible = (np.vecdot(candidates, n1[:, None]) - o1[:, None] <= limit) & (
+            np.vecdot(candidates, n2[:, None]) - o2[:, None] <= limit
+        )
     feasible[:, 3] &= solvable
     both = ~whole[0] & ~whole[1]
     if np.any(both & ~np.any(feasible, axis=1)):

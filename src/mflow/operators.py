@@ -229,14 +229,6 @@ class LinearMap:
     def shape(self):
         return self.matrix.shape
 
-    @property
-    def dim_in(self):
-        return self.matrix.shape[1]
-
-    @property
-    def dim_out(self):
-        return self.matrix.shape[0]
-
     def apply(self, x):
         x = np.asarray(x)
         if x.ndim == 1:
@@ -248,9 +240,6 @@ class LinearMap:
         if y.ndim == 1:
             return self.matrix.T @ y
         return np.matmul(self.matrix.T, y[..., None])[..., 0]
-
-    def __call__(self, x):
-        return self.apply(x)
 
 
 def operator_library():

@@ -2,8 +2,10 @@
 
 Solutions ("oracles") are always produced by a code path separate from the
 solver: dense linear solves for the quadratic family, sign-pattern
-enumeration for the l1-regularized family.  Each registered instance is
-validated at construction by the fixed-point residual of its oracle.
+enumeration for the l1-regularized family.  Every instance with a known
+solution, built in or read from an instance document, is built by
+:func:`checked_instance`, which validates that solution by its fixed-point
+residual.
 
 The two planar fixtures predate the projection-based construction; they are
 raw fields with their own cap geometry and closed-form reference
@@ -28,14 +30,14 @@ __all__ = [
     "NamedInstance",
     "quadratic_instance",
     "lasso_instance",
-    "lens_drift",
-    "box_flow",
     "builtin_tags",
     "get_instance",
 ]
 
 ORACLE_RESIDUAL_TOL = 1e-9
 DEFAULT_FLOOR_FRACTION = 0.25
+# Resolvent steps of both blocks of every built-in family.
+STEP = 0.5
 
 
 @dataclass(eq=False)
@@ -58,10 +60,6 @@ class NamedInstance:
     references: tuple = ()
     start: np.ndarray = None
 
-    @property
-    def kind(self):
-        return "splitting" if self.instance is not None else "field"
-
     def flow_field(self):
         """The field driving the dynamics (builds it for splitting instances)."""
         if self.instance is not None:
@@ -69,26 +67,34 @@ class NamedInstance:
         return self.field
 
 
-def make_cap(w_flat, z_flat, floor_fraction):
-    """The cap of the anchor pair with floor ``floor_fraction * ||w - z||^2``.
+def checked_instance(tag, inst, z_flat, floor_fraction):
+    """The tagged instance with solution ``z_flat`` and its admissible cap.
 
-    Returns None when ``w == z``: the anchor is then the solution and there
+    ``z_flat`` must have the instance's dimension and pass the fixed-point
+    residual.  The cap's floor is ``floor_fraction * ||w - z||^2``; there is
+    no cap when ``w == z``, since the anchor is then the solution and there
     is no region to bound.
     """
-    gap_sq = float(np.sum((w_flat - z_flat) ** 2))
-    if gap_sq == 0.0:
-        return None
-    return Cap(w_flat, z_flat, floor_fraction * gap_sq)
-
-
-def _finalize(tag, inst, z_flat):
-    resid = kt_residual(inst, z_flat)
+    if z_flat.shape != (inst.dim,):
+        raise ValueError(
+            f"instance {tag!r}: solution 'z' has shape {z_flat.shape}, "
+            f"expected ({inst.dim},)"
+        )
+    # an overflowing residual is NaN and fails below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = kt_residual(inst, z_flat)
     if not resid <= ORACLE_RESIDUAL_TOL:  # a NaN residual fails too
         raise ValueError(
             f"instance {tag!r}: oracle fails the fixed-point residual "
             f"(residual {resid:.3e}, tolerance {ORACLE_RESIDUAL_TOL})"
         )
-    cap = make_cap(inst.w.flat, z_flat, DEFAULT_FLOOR_FRACTION)
+    gap_sq = float(np.sum((inst.w.flat - z_flat) ** 2))
+    cap = None
+    if gap_sq != 0.0:
+        try:
+            cap = Cap(inst.w.flat, z_flat, float(floor_fraction) * gap_sq)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad floor_fraction {floor_fraction!r}: {exc}") from exc
     return NamedInstance(tag=tag, instance=inst, cap=cap, z=z_flat)
 
 
@@ -99,7 +105,7 @@ def _shifted_gram(X):
     return G
 
 
-def quadratic_instance(p0, q0, L, gamma=0.5, mu=0.5, w=None, x0=None, tag="quadratic"):
+def quadratic_instance(p0, q0, L, tag="quadratic"):
     """Coupled quadratic blocks: ``A p = p - p0`` and ``B q = q - q0``.
 
     The Kuhn-Tucker system ``p + L^T v = p0``, ``L p - v = q0`` is solved
@@ -108,7 +114,8 @@ def quadratic_instance(p0, q0, L, gamma=0.5, mu=0.5, w=None, x0=None, tag="quadr
     (m < n), else ``(I + L^T L) p = p0 + L^T q0`` with ``v = L p - q0``.
     Their spectra differ only by extra eigenvalues 1, so the smaller matrix
     is no worse conditioned, and it is cheaper to form and to solve.
-    This linear solve is the oracle, independent of the iteration.
+    This linear solve is the oracle, independent of the iteration.  Both
+    resolvent steps are :data:`STEP`; the anchor and the start are the origin.
     """
     p0 = as_vector(p0)
     q0 = as_vector(q0)
@@ -127,12 +134,11 @@ def quadratic_instance(p0, q0, L, gamma=0.5, mu=0.5, w=None, x0=None, tag="quadr
         v_star = M @ p_star - q0
     z_flat = np.concatenate([p_star, v_star])
 
-    w = PDPoint(np.zeros(n), np.zeros(m)) if w is None else w
-    x0 = w if x0 is None else x0
+    w = PDPoint(np.zeros(n), np.zeros(m))
     inst = ProblemInstance(
-        A=Quadratic(p0), B=Quadratic(q0), L=L, gamma=gamma, mu=mu, w=w, x0=x0
+        A=Quadratic(p0), B=Quadratic(q0), L=L, gamma=STEP, mu=STEP, w=w, x0=w
     )
-    return _finalize(tag, inst, z_flat)
+    return checked_instance(tag, inst, z_flat, DEFAULT_FLOOR_FRACTION)
 
 
 def _lasso_oracle(b, M, reg, tol=1e-11):
@@ -177,11 +183,12 @@ def _lasso_oracle(b, M, reg, tol=1e-11):
     raise RuntimeError("sign enumeration found no consistent pattern")
 
 
-def lasso_instance(b, L, reg, gamma=0.5, mu=0.5, w=None, x0=None, tag="lasso"):
+def lasso_instance(b, L, reg, tag="lasso"):
     """Quadratic block coupled to an l1 block: ``A p = p - b``, ``B = reg * subdiff l1``.
 
     ``reg = 0`` degenerates to the unregularized minimum (the l1 block
-    becomes the zero operator and the solution is ``(b, 0)``).
+    becomes the zero operator and the solution is ``(b, 0)``).  Steps, anchor
+    and start are as in :func:`quadratic_instance`.
     """
     b = as_vector(b)
     L = L if isinstance(L, LinearMap) else LinearMap(L)
@@ -190,12 +197,10 @@ def lasso_instance(b, L, reg, gamma=0.5, mu=0.5, w=None, x0=None, tag="lasso"):
     p_star, v_star = _lasso_oracle(b, L.matrix, reg)
     z_flat = np.concatenate([p_star, v_star])
 
-    n, m = b.shape[0], L.shape[0]
-    w = PDPoint(np.zeros(n), np.zeros(m)) if w is None else w
-    x0 = w if x0 is None else x0
+    w = PDPoint(np.zeros(b.shape[0]), np.zeros(L.shape[0]))
     B = Zero() if reg == 0 else L1(reg)
-    inst = ProblemInstance(A=Quadratic(b), B=B, L=L, gamma=gamma, mu=mu, w=w, x0=x0)
-    return _finalize(tag, inst, z_flat)
+    inst = ProblemInstance(A=Quadratic(b), B=B, L=L, gamma=STEP, mu=STEP, w=w, x0=w)
+    return checked_instance(tag, inst, z_flat, DEFAULT_FLOOR_FRACTION)
 
 
 def lens_drift():
@@ -314,9 +319,7 @@ def box_flow():
 
 
 def _quadratic_1d():
-    return quadratic_instance(
-        p0=[0.0], q0=[1.0], L=[[1.0]], gamma=0.5, mu=0.5, tag="quadratic1d"
-    )
+    return quadratic_instance(p0=[0.0], q0=[1.0], L=[[1.0]], tag="quadratic1d")
 
 
 def _quadratic_3x2():
@@ -324,8 +327,6 @@ def _quadratic_3x2():
         p0=[0.09, 0.54, 0.05],
         q0=[0.13, 0.7],
         L=[[0.8, 0.61, -0.39], [0.14, -1.65, -0.84]],
-        gamma=0.5,
-        mu=0.5,
         tag="quadratic3x2",
     )
 

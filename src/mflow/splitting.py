@@ -188,7 +188,8 @@ def kt_apply_rows(inst, x_rows):
     _, _, _, _, s_rows, eta = _kt_blocks(inst, x_rows[:, :n], x_rows[:, n:])
     s_norm_sq = np.vecdot(s_rows, s_rows)
     viol = np.vecdot(x_rows, s_rows) - eta
-    moved = (np.sqrt(s_norm_sq) > S_STAR_TOL) & (viol > 0.0)
+    # negated, so that a NaN cut moves the row to NaN as in _cut_projection
+    moved = ~((np.sqrt(s_norm_sq) <= S_STAR_TOL) | (viol <= 0.0))
     # the projection is also evaluated on the rows it does not move
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tx = x_rows - (viol / s_norm_sq)[:, None] * s_rows

@@ -53,8 +53,13 @@ class TestConfig:
             with pytest.raises(ConfigError, match="floor_fraction"):
                 instance_from_doc(dict(INSTANCE_DOC, floor_fraction=bad))
         # the anchor is the solution: no cap, and the fraction is never used
-        named = instance_from_doc(dict(INSTANCE_DOC, z=[0.0, 0.0], floor_fraction=1.5))
-        assert named.cap is None
+        at_z = {"p": [0.5], "v": [-0.5]}
+        doc = dict(INSTANCE_DOC, w=at_z, x0=at_z, floor_fraction=1.5)
+        assert instance_from_doc(doc).cap is None
+
+    def test_wrong_solution(self):
+        with pytest.raises(ConfigError, match="fixed-point residual"):
+            instance_from_doc(dict(INSTANCE_DOC, z=[0.4, -0.5]))
 
     def test_json_error_is_line_precise(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -165,6 +170,35 @@ def test_overflowing_step_exit_three(tmp_path, capsys, argv):
     code = main(argv + ["--instance", str(path), "--out", str(tmp_path)])
     assert code == 3
     assert capsys.readouterr().err.startswith("breakdown:")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [dict(INSTANCE_DOC, z=[0.4, -0.5]), dict(OVERFLOW_DOC, z=[1, 1])],
+    ids=["off-solution", "overflowing-residual"],
+)
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_wrong_solution_exit_one(tmp_path, capsys, doc, command):
+    path = tmp_path / "wrong_z.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, "--instance", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "wrong_z.json" in err and "residual" in err
+
+
+# The anchor is so far from the solution that the field overflows on the cap.
+FAR_ANCHOR_DOC = dict(INSTANCE_DOC, name="far", w={"p": [1e100], "v": [0.0]})
+
+
+def test_check_non_finite_field_exit_three(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(FAR_ANCHOR_DOC))
+    argv = ["check", "--instance", str(path), "--samples", "16", "--out", str(tmp_path)]
+    code = main(argv)
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("breakdown:"), lines
 
 
 def run_mflow(argv, cwd):

@@ -294,7 +294,7 @@ class TestConvergenceReport:
         for tag in ("quadratic3x2", "lasso1d", "lasso3x2"):
             named = get_instance(tag)
             traj = solve(named.instance, max_iter=3000, z=named.z)
-            rep = convergence_report(traj, named.z, w=named.cap.w, eps=1e-4)
+            rep = convergence_report(traj, named.z, w=named.cap.w)
             assert rep["tail_contained"], tag
 
     def test_reports_deterministic(self, lens, lens_samples):

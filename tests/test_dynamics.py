@@ -69,10 +69,6 @@ class TestEulerEval:
         for k in range(4):
             assert np.array_equal(euler_eval(nodes, 0.5, 0.5 * k), nodes[k])
 
-    def test_shifted_origin(self):
-        nodes = euler_nodes(drift_field(), [0.0, -1.0], 0.5, 3)
-        assert euler_eval(nodes, 0.5, 2.75, t0=2.0) == pytest.approx([0.625, -1.0])
-
     def test_out_of_range(self):
         nodes = euler_nodes(drift_field(), [0.0, -1.0], 0.5, 3)
         with pytest.raises(ValueError):

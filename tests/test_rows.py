@@ -163,6 +163,42 @@ def test_kt_rows_keep_fixed_points_exactly():
     assert resid[0] == 0.0 and resid[1] > 0.0
 
 
+def overflow_instance():
+    """Quadratic blocks whose first cut overflows from every start."""
+    origin = PDPoint([0.0], [0.0])
+    return ProblemInstance(
+        A=Quadratic([1e308]),
+        B=Quadratic([-1e308]),
+        L=LinearMap([[1e3]]),
+        gamma=0.5,
+        mu=0.5,
+        w=origin,
+        x0=origin,
+    )
+
+
+@pytest.mark.parametrize(
+    "inst, x",
+    [
+        (overflow_instance(), np.array([[0.0, 0.0], [1.0, -1.0]])),
+        (
+            get_instance("quadratic3x2").instance,
+            np.vstack([get_instance("quadratic3x2").z + 0.1, np.full(5, 1e200)]),
+        ),
+    ],
+    ids=["overflow-start", "huge-row"],
+)
+def test_kt_rows_propagate_nan(inst, x):
+    # a non-finite cut moves its row to NaN, as it moves a single point
+    with np.errstate(over="ignore", invalid="ignore"):
+        tx, resid = kt_apply_rows(inst, x)
+        singles = [kt_apply_flat(inst, row) for row in x]
+    assert np.isnan(tx[-1]).all()
+    # equal values, and NaN in the same places
+    np.testing.assert_array_equal(tx, [t for t, _ in singles], strict=True)
+    np.testing.assert_array_equal(resid, [r for _, r in singles], strict=True)
+
+
 def q_batch(data, dim):
     """Anchor and cut points with rows of cases i, ii and iii, plus degenerate rows."""
     w = scaled_rows(data, 1, dim)[0]
