@@ -344,9 +344,14 @@ def solve(
         while True:
             q, resid = _kt_projection_step(inst, x, w_flat)
             n = len(points)
-            if not np.all(np.isfinite(q)):
+            if not np.isfinite(q).all():
                 raise NonFiniteError(f"the projection at iterate {n} is not finite")
-            step_small = n > 0 and float(np.linalg.norm(x - points[-1])) <= tol_step
+            if n > 0:
+                d = x - points[-1]
+                # np.linalg.norm of a real vector, without its dispatch
+                step_small = math.sqrt(d.dot(d)) <= tol_step
+            else:
+                step_small = False
             points.append(x)
             residuals.append(resid)
             if resid <= tol_residual:

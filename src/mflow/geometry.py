@@ -116,6 +116,13 @@ def project_halfspace(hs, w):
 
 def _project_cut(normal, offset, w):
     """Project ``w`` onto ``{h : <h, normal> <= offset}`` row by row; no emptiness test."""
+    # scale each cut by the power of two that brings its largest entry into
+    # [0.5, 1): exact, and ||normal||^2 then neither underflows nor overflows
+    _, exp = np.frexp(np.max(np.abs(normal), axis=-1))
+    normal = np.ldexp(normal, -exp[..., None])
+    # a huge offset over a tiny normal becomes infinite, which still decides the side
+    with np.errstate(over="ignore"):
+        offset = np.ldexp(offset, -exp)
     viol = np.vecdot(w, normal) - offset
     # the step is also evaluated where w is feasible, where the normal may vanish
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -174,9 +181,10 @@ def haugazeau_projection(w, b, c, return_case=False):
                 "parallel opposing cuts: empty intersection (case iv)"
             )
     elif pi * nu >= rho:
-        out, case = w + (1.0 + pi / nu) * (c - b), "ii"
+        # -bc is c - b exactly
+        out, case = w - (1.0 + pi / nu) * bc, "ii"
     else:
-        out, case = b + (nu / rho) * (pi * wb + mu * (c - b)), "iii"
+        out, case = b + (nu / rho) * (pi * wb - mu * bc), "iii"
     return (out, case) if return_case else out
 
 
@@ -314,9 +322,11 @@ def cap_membership(cap, x):
     ``||x - w||^2 >= r - GEOM_TOL`` hold, :data:`INSIDE_D_ONLY` when only
     the ball test holds, and :data:`OUTSIDE` otherwise.
     """
-    if float((cap.z - x) @ (cap.w - x)) > GEOM_TOL:
+    to_w = cap.w - x
+    if float((cap.z - x) @ to_w) > GEOM_TOL:
         return OUTSIDE
-    if float(np.sum((x - cap.w) ** 2)) < cap.r - GEOM_TOL:
+    # add.reduce is np.sum without its dispatch; (w - x)^2 equals (x - w)^2 exactly
+    if float(np.add.reduce(to_w * to_w)) < cap.r - GEOM_TOL:
         return INSIDE_D_ONLY
     return INSIDE_DHAT
 

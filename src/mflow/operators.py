@@ -224,6 +224,7 @@ class LinearMap:
         M = _as_matrix(matrix)
         M.setflags(write=False)
         self.matrix = M
+        self._transpose = M.T
 
     @property
     def shape(self):
@@ -238,8 +239,8 @@ class LinearMap:
     def adjoint(self, y):
         y = np.asarray(y)
         if y.ndim == 1:
-            return self.matrix.T @ y
-        return np.matmul(self.matrix.T, y[..., None])[..., 0]
+            return self._transpose @ y
+        return np.matmul(self._transpose, y[..., None])[..., 0]
 
 
 def operator_library():

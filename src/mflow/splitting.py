@@ -12,6 +12,7 @@ resolvent call on each block produces a separating halfspace for Z, and the
 operator projects the current point onto it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,12 +133,13 @@ def _kt_blocks(inst, p, v):
 def _cut_projection(x_flat, s_flat, eta):
     """Project ``x`` onto ``{h : <h, s> <= eta}``; identity when ``||s|| <= S_STAR_TOL``."""
     s_norm_sq = float(s_flat @ s_flat)
-    if np.sqrt(s_norm_sq) <= S_STAR_TOL:
+    s_norm = math.sqrt(s_norm_sq)
+    if s_norm <= S_STAR_TOL:
         return x_flat, 0.0
     viol = float(x_flat @ s_flat) - eta
     if viol <= 0.0:
         return x_flat, 0.0
-    return x_flat - (viol / s_norm_sq) * s_flat, viol / np.sqrt(s_norm_sq)
+    return x_flat - (viol / s_norm_sq) * s_flat, viol / s_norm
 
 
 def kt_operator(inst, x):

@@ -1,13 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from mflow import (
     Cap,
+    GEOM_TOL,
     HalfSpace,
+    INSIDE_D_ONLY,
     INSIDE_DHAT,
     L1,
+    OUTSIDE,
     VectorField,
     build_field,
+    builtin_tags,
     cap_membership,
     check_cap_invariance,
     check_outward_drift,
@@ -21,6 +27,7 @@ from mflow import (
     sample_cap,
     solve,
 )
+from mflow.diagnostics import SAMPLE_MAX_BATCHES
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +57,109 @@ class TestSampleCap:
         assert np.array_equal(a, b)
         c = sample_cap(lens.cap, n_samples=64, seed=8)
         assert not np.array_equal(a, c)
+
+
+def _unscreened_sample_cap(cap, n_samples, seed):
+    """sample_cap without the ball screen: every candidate gets the exact test.
+
+    Returns None where the sampling stalls.
+    """
+    from scipy.stats import qmc
+
+    sobol = qmc.Sobol(d=cap.dim, scramble=True, seed=seed)
+    kept = []
+    for _ in range(SAMPLE_MAX_BATCHES):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            batch = sobol.random(max(n_samples, 64))
+        for x in cap.center + cap.radius * (2.0 * batch - 1.0):
+            if cap_membership(cap, x) == INSIDE_DHAT:
+                kept.append(x)
+                if len(kept) == n_samples:
+                    return np.array(kept)
+    return None
+
+
+def _cap_around(rng, dim, radius, center_norm, fraction):
+    """A cap whose ball has the given radius and center norm, in a random direction."""
+    u = rng.standard_normal(dim)
+    u /= np.linalg.norm(u)
+    c = rng.standard_normal(dim)
+    c *= center_norm / np.linalg.norm(c)
+    w, z = c + radius * u, c - radius * u
+    return Cap(w, z, fraction * float(np.sum((w - z) ** 2)))
+
+
+def _screen_cases():
+    """(cap, sample count) pairs on which the ball screen is compared."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for _ in range(40):
+        dim = int(rng.integers(1, 7))
+        radius = 10.0 ** rng.uniform(-8, 3)
+        center_norm = min(radius * 10.0 ** rng.uniform(-3, 12), 1e12)
+        cap = _cap_around(rng, dim, radius, center_norm, rng.uniform(0.01, 0.5))
+        cases.append((cap, 64))
+    # centers far from the ball: x = center + radius * u is rounded to a grid
+    # of about 1e-4 radii, and at 1e14 of radius / 64, so that points with
+    # ||u|| > 1 pass the exact test; enough samples to draw some of them
+    cases.append((_cap_around(rng, 3, 1.0, 1e12, 0.2), 2048))
+    cases.append((_cap_around(rng, 3, 1.0, 1e14, 0.2), 2048))
+    # radius^2 below GEOM_TOL: every point of the bounding box passes the ball test
+    cases.append((_cap_around(rng, 2, 1e-6, 1.0, 0.3), 64))
+    # a floor that leaves only a sliver next to z: sampling stalls
+    cases.append((_cap_around(rng, 2, 1.0, 0.5, 1.0 - 1e-8), 64))
+    return cases
+
+
+class TestBallScreen:
+    def test_same_samples_as_unscreened_loop(self):
+        for i, (cap, n_samples) in enumerate(_screen_cases()):
+            seed = i % 5
+            want = _unscreened_sample_cap(cap, n_samples, seed)
+            if want is None:
+                with pytest.raises(RuntimeError, match="stalled"):
+                    sample_cap(cap, n_samples=n_samples, seed=seed)
+                continue
+            got = sample_cap(cap, n_samples=n_samples, seed=seed)
+            assert got.tobytes() == want.tobytes(), f"cap {i}"
+
+    def test_stalling_case_stalls(self):
+        cap, n_samples = _screen_cases()[-1]
+        assert _unscreened_sample_cap(cap, n_samples, 0) is None
+
+
+def _old_membership(cap, x):
+    """cap_membership as written before it shared the difference ``w - x``."""
+    if float((cap.z - x) @ (cap.w - x)) > GEOM_TOL:
+        return OUTSIDE
+    if float(np.sum((x - cap.w) ** 2)) < cap.r - GEOM_TOL:
+        return INSIDE_D_ONLY
+    return INSIDE_DHAT
+
+
+def _near_radius(rng, center, radius, count):
+    """Points in random directions at a few ulps from ``radius`` around ``center``."""
+    u = rng.standard_normal((count, center.shape[0]))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    ulps = rng.integers(-4, 5, size=count)
+    radii = radius * (1.0 + ulps * np.finfo(float).eps)
+    return center + radii[:, None] * u
+
+
+@pytest.mark.parametrize("tag", builtin_tags())
+def test_membership_matches_old_formula(tag, rng):
+    cap = get_instance(tag).cap
+    box = cap.center + 1.2 * cap.radius * rng.uniform(-1.0, 1.0, (10_000, cap.dim))
+    # the two decision boundaries: the ball test and the floor test
+    ball = _near_radius(rng, cap.center, np.sqrt(cap.radius**2 + GEOM_TOL), 500)
+    floor = _near_radius(rng, cap.w, np.sqrt(cap.r - GEOM_TOL), 500)
+    labels = set()
+    for x in np.vstack([box, ball, floor]):
+        label = cap_membership(cap, x)
+        assert label == _old_membership(cap, x), x
+        labels.add(label)
+    assert labels == {OUTSIDE, INSIDE_D_ONLY, INSIDE_DHAT}
 
 
 class TestFieldCalls:

@@ -85,6 +85,18 @@ class TestProjectHalfspace:
         with pytest.raises(EmptyIntersectionError):
             project_halfspace(HalfSpace([0.0, 0.0], -1.0), [1.0, 1.0])
 
+    def test_tiny_normal(self):
+        # ||normal||^2 underflows to 0 for entries below about 1e-154
+        hs = HalfSpace(np.full(2, 2.17e-204), 0.0)
+        assert project_halfspace(hs, [0.0, 1.0]) == pytest.approx([-0.5, 0.5])
+        rows = HalfSpace(np.full((3, 2), 2.17e-204), np.zeros(3))
+        got = project_halfspace(rows, [0.0, 1.0])
+        assert got.shape == (3, 2)
+        assert np.allclose(got, [-0.5, 0.5], rtol=0.0, atol=1e-15)
+        got = project_halfspace(HalfSpace([1e-300, 0.0], 0.0), [1.0, 1.0])
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx([0.0, 1.0])
+
 
 class TestTwoCutProjection:
     def test_degenerate_first_cut(self):

@@ -1,0 +1,91 @@
+"""Print one SHA-256 per output of a fixed list of mflow commands and demos.
+
+    python3 tools/output_digests.py [CHECKOUT] > digests.txt
+
+``CHECKOUT`` is the root of an mflow source tree (default: the tree this
+script belongs to); its ``src/`` and ``demos/`` are used.  Every command runs
+in a fresh interpreter with one BLAS thread, writing into its own temporary
+directory.  For each command the script hashes its exit code, stdout and
+stderr, and then every file it wrote; each output's path is replaced by a
+fixed token before hashing, because the order tables embed it.  Two
+checkouts produce byte-identical outputs exactly when this script prints
+the same lines for both, so comparing them is one ``diff``.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+SPLITTING = ("quadratic1d", "quadratic3x2", "lasso1d", "lasso3x2")
+FIELDS = ("lens-drift", "box-flow")
+CHECK_SEEDS = (0, 1, 7)
+TOKEN = b"<out>"
+
+
+def commands():
+    """(label, mflow arguments) of every command whose outputs are hashed."""
+    out = []
+    for tag in SPLITTING:
+        out.append((f"solve {tag}", ["solve", "--instance", tag, "--max-iter", "3000"]))
+    for tag in SPLITTING + FIELDS:
+        for seed in CHECK_SEEDS:
+            args = ["check", "--instance", tag, "--samples", "512", "--seed", str(seed)]
+            out.append((f"check {tag} seed {seed}", args))
+    for tag in SPLITTING + FIELDS:
+        args = ["integrate", "--instance", tag, "--lambda", "0.2,0.1"]
+        out.append((f"integrate {tag}", args))
+    return out
+
+
+def digest(data, workdir):
+    return hashlib.sha256(data.replace(os.fsencode(workdir), TOKEN)).hexdigest()
+
+
+def run(argv, root, workdir):
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(root / "src"),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+    )
+    return subprocess.run(argv, capture_output=True, cwd=workdir, env=env, timeout=600)
+
+
+def report(label, proc, workdir):
+    """Digest lines of one finished process and of the files it left in ``workdir``."""
+    lines = [
+        f"{digest(str(proc.returncode).encode(), workdir)}  {label}: exit {proc.returncode}",
+        f"{digest(proc.stdout, workdir)}  {label}: stdout",
+        f"{digest(proc.stderr, workdir)}  {label}: stderr",
+    ]
+    for path in sorted(p for p in Path(workdir).rglob("*") if p.is_file()):
+        name = path.relative_to(workdir)
+        lines.append(f"{digest(path.read_bytes(), workdir)}  {label}: {name}")
+    return lines
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) > 1:
+        sys.exit(__doc__.splitlines()[2].strip())
+    root = Path(argv[0]).resolve() if argv else HERE
+    jobs = [
+        (label, [sys.executable, "-m", "mflow", *args, "--out", "out"])
+        for label, args in commands()
+    ]
+    jobs += [
+        (f"demo {demo.stem}", [sys.executable, str(demo)])
+        for demo in sorted((root / "demos").glob("*.py"))
+    ]
+    for label, cmd in jobs:
+        with tempfile.TemporaryDirectory() as workdir:
+            proc = run(cmd, root, workdir)
+            print("\n".join(report(label, proc, workdir)), flush=True)
+
+
+if __name__ == "__main__":
+    main()
