@@ -65,7 +65,6 @@ from .problems import (
 )
 from .space import PDPoint, as_vector
 from .splitting import (
-    KTStep,
     ProblemInstance,
     fixed_point_operator,
     kt_operator,
@@ -84,7 +83,6 @@ __all__ = [
     "HalfSpace",
     "INSIDE_DHAT",
     "INSIDE_D_ONLY",
-    "KTStep",
     "L1",
     "LinearMap",
     "LinearMonotone",

@@ -179,7 +179,8 @@ def euler_eval(nodes, lam, t):
     nodes = np.asarray(nodes, dtype=float)
     n_steps = nodes.shape[0] - 1
     s = t / lam
-    if s < 0.0 or s > n_steps + 1e-12:
+    # negated, so that a NaN time fails it
+    if not 0.0 <= s <= n_steps + 1e-12:
         raise ValueError(f"time {t} outside [0.0, {n_steps * lam}]")
     k = min(int(np.floor(s)), n_steps - 1)
     frac = s - k
@@ -196,7 +197,7 @@ def euler_defect(F, nodes, lam, t):
     nodes = np.asarray(nodes, dtype=float)
     n_steps = nodes.shape[0] - 1
     s = t / lam
-    if s < -1e-12 or s > n_steps + 1e-12:
+    if not -1e-12 <= s <= n_steps + 1e-12:
         raise ValueError(f"time {t} outside [0.0, {n_steps * lam}]")
     if abs(s - round(s)) < 1e-12:
         return np.zeros(nodes.shape[1])

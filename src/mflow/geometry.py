@@ -70,10 +70,6 @@ class HalfSpace:
         object.__setattr__(self, "offset", offset[()])
 
     @property
-    def is_whole_space(self):
-        return np.all(self.normal == 0.0, axis=-1) & (self.offset >= 0.0)
-
-    @property
     def is_empty(self):
         return np.all(self.normal == 0.0, axis=-1) & (self.offset < 0.0)
 
@@ -189,11 +185,11 @@ def haugazeau_projection(w, b, c, return_case=False):
 
 
 def haugazeau_rows(w, b_rows, c_rows):
-    """:func:`haugazeau_projection` of one anchor ``w`` for every row of ``b``, ``c``.
+    """:func:`haugazeau_projection` of ``w`` for every row of ``b``, ``c``.
 
-    The case is chosen per row, and every row equals the single-point
-    result bit for bit.  A case (iv) row raises
-    :class:`EmptyIntersectionError`.
+    ``w`` is one anchor shared by every row, or one anchor per row.  The
+    case is chosen per row, and every row equals the single-point result
+    bit for bit.  A case (iv) row raises :class:`EmptyIntersectionError`.
     """
     wb = w - b_rows
     bc = b_rows - c_rows
@@ -218,10 +214,14 @@ def project_onto_halfspaces(halfspaces, w):
     """Project ``w`` onto the intersection of at most two halfspaces.
 
     Used by the diagnostics for moving-set projections given as explicit
-    cuts.  A whole-space cut is ignored; for two other cuts, candidates are
-    enumerated over the active sets (none, one, both) and the closest
-    feasible one wins.  When the cuts are stacks of ``k`` rows, ``w`` is
-    projected onto each row's intersection and the result has ``k`` rows.
+    cuts.  Two cuts reduce to the two-cut projection (Haugazeau): ``b``
+    projects ``w`` onto the cut it violates most; when ``b`` violates the
+    other cut, ``c`` projects ``b`` onto it, and ``H(w, b) & H(b, c)`` are
+    then the two given cuts, so the projection is
+    :func:`haugazeau_rows` of ``(w, b, c)``.  Near-parallel opposing cuts
+    raise :class:`EmptyIntersectionError` as its case (iv) does.  When the
+    cuts are stacks of ``k`` rows, ``w`` is projected onto each row's
+    intersection and the result has ``k`` rows.
     """
     w = np.asarray(w, dtype=float)
     if len(halfspaces) > 2:
@@ -234,41 +234,20 @@ def project_onto_halfspaces(halfspaces, w):
     h1, h2 = halfspaces
     shape = np.broadcast_shapes(w.shape, h1.normal.shape, h2.normal.shape)
     dim, rows = shape[-1], shape[:-1]
-    # one row axis, of length 1 when neither cut is a stack
+    # one row axis, of length 1 when neither the cuts nor w are stacks
+    w = np.broadcast_to(w, shape).reshape(-1, dim)
     n1, n2 = (np.broadcast_to(h.normal, shape).reshape(-1, dim) for h in halfspaces)
     o1, o2 = (np.broadcast_to(h.offset, rows).reshape(-1) for h in halfspaces)
-    whole = [np.broadcast_to(h.is_whole_space, rows).reshape(-1) for h in halfspaces]
-    p1 = _project_cut(n1, o1, w)
-    p2 = _project_cut(n2, o2, w)
-
-    A = np.stack([n1, n2], axis=-2)
-    gram = A @ A.mT
-    limit = GEOM_TOL * (1.0 + float(np.linalg.norm(w)))
-    # a normal whose square underflows degrades the Gram data and makes
-    # candidates infinite; the NaN this leads to propagates
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        solvable = np.abs(np.linalg.det(gram)) > 1e-14 * np.maximum(
-            gram[:, 0, 0] * gram[:, 1, 1], 1e-300
-        )
-        gram = np.where(solvable[:, None, None], gram, np.eye(2))
-        rhs = A @ w - np.stack([o1, o2], axis=-1)
-        lam = np.linalg.solve(gram, rhs[..., None])
-        joint = w - (A.mT @ lam)[..., 0]
-        candidates = np.stack([np.broadcast_to(w, p1.shape), p1, p2, joint], axis=1)
-        feasible = (np.vecdot(candidates, n1[:, None]) - o1[:, None] <= limit) & (
-            np.vecdot(candidates, n2[:, None]) - o2[:, None] <= limit
-        )
-    feasible[:, 3] &= solvable
-    both = ~whole[0] & ~whole[1]
-    if np.any(both & ~np.any(feasible, axis=1)):
-        raise EmptyIntersectionError("no feasible candidate: empty intersection")
-    diff = candidates - w
-    dist = np.where(feasible, np.sqrt(np.vecdot(diff, diff)), np.inf)
-    # the first closest candidate, as min() over the list [w, p1, p2, joint]
-    best = candidates[np.arange(len(candidates)), np.argmin(dist, axis=1)]
-    # a row with one active cut is projected onto it; with none, p2 is w
-    single = np.where(whole[0][:, None], p2, p1)
-    return np.where(both[:, None], best, single).reshape(shape)
+    p1, p2 = _project_cut(n1, o1, w), _project_cut(n2, o2, w)
+    # start with the cut w violates most: a longer step w - b keeps the
+    # direction of that cut's normal through rounding
+    first = np.vecdot(p1 - w, p1 - w) >= np.vecdot(p2 - w, p2 - w)
+    b = np.where(first[:, None], p1, p2)
+    c = _project_cut(np.where(first[:, None], n2, n1), np.where(first, o2, o1), b)
+    need = np.any(c != b, axis=-1)
+    if np.any(need):
+        b[need] = haugazeau_rows(w[need], b[need], c[need])
+    return b.reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)

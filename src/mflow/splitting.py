@@ -22,7 +22,6 @@ from .space import PDPoint, as_vector
 
 __all__ = [
     "ProblemInstance",
-    "KTStep",
     "kt_operator",
     "kt_apply_flat",
     "kt_apply_rows",
@@ -82,24 +81,6 @@ class ProblemInstance:
         return self.dim_p + self.dim_v
 
 
-@dataclass(frozen=True, eq=False)
-class KTStep:
-    """One evaluation of the coupling operator at a point x = (p, v).
-
-    ``a``/``b`` are the block resolvents, ``a_star``/``b_star`` the matching
-    graph points, ``s_star``/``eta`` the separating cut, ``Tx`` the projection
-    of x onto that cut.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    a_star: np.ndarray
-    b_star: np.ndarray
-    s_star: PDPoint
-    eta: float
-    Tx: PDPoint
-
-
 def _kt_blocks(inst, p, v):
     """Block resolvents and the separating cut at (p, v).
 
@@ -143,7 +124,7 @@ def _cut_projection(x_flat, s_flat, eta):
 
 
 def kt_operator(inst, x):
-    """Evaluate the Kuhn-Tucker coupling operator at ``x``.
+    """Evaluate the Kuhn-Tucker coupling operator ``T`` at ``x``.
 
     ``Tx`` projects ``x`` onto the cut ``{h : <h, s_star> <= eta}`` produced
     by one resolvent call per block (see :func:`_kt_blocks`).  When the cut
@@ -151,29 +132,21 @@ def kt_operator(inst, x):
     and ``Tx`` is ``x`` itself; this is exactly the Kuhn-Tucker case, where
     eta also vanishes.
 
-    Parameters
-    ----------
-    inst : ProblemInstance
-    x : PDPoint
-        Evaluation point.
-
-    Returns
-    -------
-    KTStep
+    ``x`` is one flat vector of dimension ``dim_p + dim_v``, or a
+    ``(k, dim)`` stack of them, mapped row by row.  A non-finite cut moves
+    its point to NaN instead of raising.
     """
-    a, b, a_star, b_star, s_flat, eta = _kt_blocks(inst, x.p, x.v)
-    tx_flat, resid = _cut_projection(x.flat, s_flat, eta)
-    Tx = x if resid == 0.0 else PDPoint.from_flat(tx_flat, x.dim_p)
-    s_star = PDPoint(s_flat[: inst.dim_p], s_flat[inst.dim_p :])
-    return KTStep(a=a, b=b, a_star=a_star, b_star=b_star, s_star=s_star, eta=eta, Tx=Tx)
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return kt_apply_rows(inst, x)[0]
+    return kt_apply_flat(inst, x)[0]
 
 
 def kt_apply_flat(inst, x_flat):
-    """Lean coupling-operator evaluation on a flat vector.
+    """Coupling-operator evaluation on a flat vector, with its residual.
 
-    Same arithmetic as :func:`kt_operator` without the record type; used by
-    the iteration loops.  Returns ``(tx_flat, residual)`` with residual
-    ``||Tx - x||``.
+    Used by the iteration loops.  Returns ``(tx_flat, residual)`` with
+    residual ``||Tx - x||``; an unmoved point comes back as ``x`` itself.
     """
     n = inst.dim_p
     _, _, _, _, s_flat, eta = _kt_blocks(inst, x_flat[:n], x_flat[n:])
@@ -247,7 +220,7 @@ def fixed_point_operator(kind, **params):
     if kind == "resolvent":
         op = params["op"]
         gamma = params.get("gamma", 1.0)
-        if gamma <= 0:
+        if not gamma > 0:
             raise ValueError(f"resolvent step must be positive, got {gamma}")
         return lambda x: op.resolvent(gamma, x)
 
@@ -256,7 +229,7 @@ def fixed_point_operator(kind, **params):
         forward = params["forward"]
         beta = params["beta"]
         gamma = params["gamma"]
-        if beta <= 0:
+        if not beta > 0:
             raise ValueError(f"cocoercivity constant must be positive, got {beta}")
         if not 0.0 <= gamma <= 2.0 * beta:
             raise ValueError(f"gamma must lie in [0, {2.0 * beta}], got {gamma}")
@@ -271,14 +244,7 @@ def fixed_point_operator(kind, **params):
 
     if kind == "kuhn_tucker":
         inst = params["instance"]
-
-        def kt_map(x):
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 2:
-                return kt_apply_rows(inst, x)[0]
-            point = PDPoint.from_flat(x, inst.dim_p)
-            return kt_operator(inst, point).Tx.flat
-
-        return kt_map
+        # not functools.partial: a rebound module-level kt_operator takes effect
+        return lambda x: kt_operator(inst, x)
 
     raise ValueError(f"unknown fixed-point operator kind {kind!r}")

@@ -76,6 +76,15 @@ class TestEulerEval:
         with pytest.raises(ValueError):
             euler_eval(nodes, 0.5, -0.1)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time(self, t):
+        F = drift_field()
+        nodes = euler_nodes(F, [0.0, -1.0], 0.5, 3)
+        with pytest.raises(ValueError, match="outside"):
+            euler_eval(nodes, 0.5, t)
+        with pytest.raises(ValueError, match="outside"):
+            euler_defect(F, nodes, 0.5, t)
+
 
 class TestEulerDefect:
     def test_constant_field_has_zero_defect(self):

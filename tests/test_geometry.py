@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mflow import (
+    GEOM_TOL,
     Cap,
     EmptyIntersectionError,
     HalfSpace,
@@ -19,6 +23,42 @@ from mflow import (
 from .oracles import project_two_constraints, two_cut_projection_oracle
 
 
+def vector(data, dim, power=0):
+    """Entries in [-1, 1] (none below 1e-30 but zero) times ``10**power``."""
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False).map(
+        lambda v: v if abs(v) > 1e-30 else 0.0
+    )
+    return data.draw(arrays(float, dim, elements=entries)) * 10.0**power
+
+
+def cut_pair(data, kind):
+    """Anchor ``w`` and two cuts of the named kind, with badly scaled ``w``.
+
+    Each cut's boundary passes through its own point near ``w``; ``"b_is_w"``
+    is the pair ``H(w, w) & H(w, c)`` whose first cut is the whole space.
+    """
+    dim = data.draw(st.integers(2, 5))
+    w = vector(data, dim, data.draw(st.integers(-6, 6)))
+    a1 = vector(data, dim, data.draw(st.integers(-3, 3)))
+    if kind == "b_is_w":
+        c = w + vector(data, dim, data.draw(st.integers(-6, 6)))
+        return w, [halfspace_of(w, w), halfspace_of(w, c)]
+    if kind == "general":
+        a2 = vector(data, dim, data.draw(st.integers(-3, 3)))
+    elif kind == "near_parallel":
+        # same orientation, tilted by a relative 10**-6.5 to 10**-1.5
+        tilt = 10.0 ** -data.draw(st.floats(1.5, 6.5))
+        a2 = data.draw(st.floats(0.1, 10.0)) * a1 + tilt * np.abs(a1).max() * vector(data, dim)
+    else:
+        a2 = np.zeros(dim)
+    points = [w + vector(data, dim, data.draw(st.integers(-6, 6))) for _ in range(2)]
+    offsets = [float(y @ a) for y, a in zip(points, (a1, a2))]
+    if kind == "whole":
+        offsets[1] = abs(offsets[1])
+    cuts = [HalfSpace(a1, offsets[0]), HalfSpace(a2, offsets[1])]
+    return w, cuts[:: data.draw(st.sampled_from([1, -1]))]
+
+
 class TestHalfSpaceOf:
     def test_direct_substitution(self):
         hs = halfspace_of([-1.0, 0.0], [0.0, 0.0])
@@ -27,7 +67,7 @@ class TestHalfSpaceOf:
 
     def test_equal_points_give_whole_space(self):
         hs = halfspace_of([1.0, 1.0], [1.0, 1.0])
-        assert hs.is_whole_space
+        assert np.array_equal(hs.normal, [0.0, 0.0]) and hs.offset == 0.0
         assert not hs.is_empty
 
     def test_expanded_inner_product(self):
@@ -200,6 +240,80 @@ class TestProjectOntoHalfspaces:
         for row, a, beta in zip(got, normals, offsets):
             ref = project_two_constraints(w, a, beta)
             assert np.linalg.norm(row - ref) <= 1e-9 * (1.0 + np.linalg.norm(ref))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["general", "near_parallel", "whole", "b_is_w"]))
+    def test_matches_enumeration(self, data, kind):
+        w, cuts = cut_pair(data, kind)
+        n1, n2 = (h.normal for h in cuts)
+        inner = float(n1 @ n2)
+        sin2 = 1.0 - inner**2 / float((n1 @ n1) * (n2 @ n2)) if inner else 1.0
+        # an opposing pair this close to parallel meets far from w, where the
+        # enumeration's Gram solve cannot resolve the corner
+        assume(inner > 0.0 or sin2 > 1e-6)
+        got = project_onto_halfspaces(cuts, w)
+        # the enumeration's feasibility tolerance is in distance units on unit normals
+        norms = [np.linalg.norm(h.normal) for h in cuts]
+        unit = [(h.normal / n, h.offset / n) if n > 0 else (h.normal, h.offset)
+                for h, n in zip(cuts, norms)]
+        ref = project_two_constraints(w, *zip(*unit))
+        assert ref is not None
+        scale = 1.0 + np.linalg.norm(w) + max(abs(o) for _, o in unit)
+        tol = 1e-8 * (scale + np.linalg.norm(w - ref))
+        if kind == "near_parallel":
+            # case (i) of the two-cut projection takes sin^2 <= GEOM_TOL as parallel,
+            # which moves the result by at most sin * ||w - b|| <= sin * ||w - ref||
+            tol += np.sqrt(GEOM_TOL) * np.linalg.norm(w - ref)
+        assert np.linalg.norm(got - ref) <= tol
+        for h in cuts:
+            assert h.violation(got) <= tol * np.linalg.norm(h.normal)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_near_parallel_opposing_cuts_are_empty(self, data):
+        # the opposing pair is empty near w; numerically the two-cut projection's case (iv)
+        dim = data.draw(st.integers(2, 5))
+        w = vector(data, dim, data.draw(st.integers(-3, 3)))
+        a1 = vector(data, dim, data.draw(st.integers(-3, 3)))
+        tilt = data.draw(st.one_of(st.just(0.0), st.floats(1e-15, 1e-6)))
+        a2 = -data.draw(st.floats(0.1, 10.0)) * a1 + tilt * np.abs(a1).max() * vector(data, dim)
+        y = w + vector(data, dim, data.draw(st.integers(-3, 3)))
+        gap = data.draw(st.floats(0.1, 10.0)) * (1.0 + np.linalg.norm(w - y))
+        cuts = [HalfSpace(a1, y @ a1), HalfSpace(a2, y @ a2 - gap * np.linalg.norm(a2))]
+        assume(np.abs(a1).max() > 1e-6)
+        with pytest.raises(EmptyIntersectionError):
+            project_onto_halfspaces(cuts[:: data.draw(st.sampled_from([1, -1]))], w)
+
+    def test_far_corner_is_not_empty(self):
+        # {x + 2**-14 y <= 0} and {x >= 1} meet at (1, -16384), far from w
+        cuts = [HalfSpace([1.0, 2.0**-14], 0.0), HalfSpace([-1.0, 0.0], -1.0)]
+        got = project_onto_halfspaces(cuts, [0.0, 0.0])
+        assert got == pytest.approx([1.0, -16384.0], rel=1e-7)
+
+    def test_tiny_normal_pair(self):
+        # a normal whose square underflows still gives the two-cut projection
+        cuts = [HalfSpace(np.full(2, 2.17e-204), 0.0), HalfSpace([0.0, 1.0], 0.25)]
+        got = project_onto_halfspaces(cuts, [0.0, 1.0])
+        assert got == pytest.approx([-0.25, 0.25], abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["general", "near_parallel", "whole"]),
+        k=st.integers(-600, 600),
+        which=st.sampled_from([0, 1]),
+    )
+    def test_power_of_two_scaling_is_exact(self, data, kind, k, which):
+        w, cuts = cut_pair(data, kind)
+        scaled = list(cuts)
+        scaled[which] = HalfSpace(np.ldexp(cuts[which].normal, k), np.ldexp(cuts[which].offset, k))
+        try:
+            got = project_onto_halfspaces(cuts, w)
+        except EmptyIntersectionError:
+            with pytest.raises(EmptyIntersectionError):
+                project_onto_halfspaces(scaled, w)
+            return
+        assert project_onto_halfspaces(scaled, w).tobytes() == got.tobytes()
 
     def test_lone_active_cut_is_projected_onto(self):
         # no feasibility screen for one cut: w within the tolerance still moves

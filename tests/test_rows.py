@@ -28,6 +28,7 @@ from mflow import (
     get_instance,
     halfspace_of,
     haugazeau_projection,
+    kt_operator,
     project_halfspace,
     project_onto_halfspaces,
 )
@@ -151,6 +152,7 @@ def test_kt_rows(data):
     singles = [kt_apply_flat(inst, row) for row in x]
     assert_rows_equal(tx, [t for t, _ in singles])
     assert resid.tobytes() == np.array([r for _, r in singles]).tobytes()
+    assert_rows_equal(kt_operator(inst, x), [kt_operator(inst, row) for row in x])
     T = fixed_point_operator("kuhn_tucker", instance=inst)
     assert_rows_equal(T(x), [T(row) for row in x])
 
@@ -197,6 +199,15 @@ def test_kt_rows_propagate_nan(inst, x):
     # equal values, and NaN in the same places
     np.testing.assert_array_equal(tx, [t for t, _ in singles], strict=True)
     np.testing.assert_array_equal(resid, [r for _, r in singles], strict=True)
+
+
+def test_kt_point_and_row_agree_on_nonfinite_cut():
+    # one point goes NaN as its row does, instead of raising
+    T = fixed_point_operator("kuhn_tucker", instance=overflow_instance())
+    with np.errstate(over="ignore", invalid="ignore"):
+        single, rows = T(np.zeros(2)), T(np.zeros((1, 2)))
+    np.testing.assert_array_equal(single, rows[0], strict=True)
+    assert np.isnan(single).all()
 
 
 def q_batch(data, dim):

@@ -15,6 +15,7 @@ from mflow import (
     kt_residual,
 )
 from mflow.operators import MonotoneOperator
+from mflow.splitting import _kt_blocks, kt_apply_flat
 
 
 def one_dim_instance():
@@ -33,65 +34,67 @@ def one_dim_instance():
 Z_BAR = np.array([0.5, -0.5])
 
 
+def blocks(inst, x):
+    """``(a, b, a_star, b_star, s_star, eta)`` of the cut at the flat point ``x``."""
+    return _kt_blocks(inst, x[: inst.dim_p], x[inst.dim_p :])
+
+
 class TestKTOperator:
     def test_worked_example_at_origin(self):
         inst = one_dim_instance()
-        step = kt_operator(inst, PDPoint([0.0], [0.0]))
-        assert step.a == pytest.approx([0.0], abs=1e-15)
-        assert step.b == pytest.approx([1 / 3], abs=1e-15)
-        assert step.a_star == pytest.approx([0.0], abs=1e-15)
-        assert step.b_star == pytest.approx([-2 / 3], abs=1e-15)
-        assert step.s_star.flat == pytest.approx([-2 / 3, 1 / 3], abs=1e-15)
-        assert step.eta == pytest.approx(-2 / 9, abs=1e-15)
-        assert step.Tx.flat == pytest.approx([4 / 15, -2 / 15], abs=1e-15)
+        x = np.zeros(2)
+        a, b, a_star, b_star, s_star, eta = blocks(inst, x)
+        assert a == pytest.approx([0.0], abs=1e-15)
+        assert b == pytest.approx([1 / 3], abs=1e-15)
+        assert a_star == pytest.approx([0.0], abs=1e-15)
+        assert b_star == pytest.approx([-2 / 3], abs=1e-15)
+        assert s_star == pytest.approx([-2 / 3, 1 / 3], abs=1e-15)
+        assert eta == pytest.approx(-2 / 9, abs=1e-15)
+        assert kt_operator(inst, x) == pytest.approx([4 / 15, -2 / 15], abs=1e-15)
 
     def test_solution_is_fixed_point(self):
         inst = one_dim_instance()
-        z = PDPoint([0.5], [-0.5])
-        step = kt_operator(inst, z)
-        assert step.s_star.flat == pytest.approx([0.0, 0.0], abs=1e-15)
-        assert step.eta == pytest.approx(0.0, abs=1e-15)
-        assert step.Tx is z  # exact identity, not merely close
+        z = np.array([0.5, -0.5])
+        _, _, _, _, s_star, eta = blocks(inst, z)
+        assert s_star == pytest.approx([0.0, 0.0], abs=1e-15)
+        assert eta == pytest.approx(0.0, abs=1e-15)
+        assert kt_operator(inst, z) is z  # exact identity, not merely close
 
     def test_point_unmoved_iff_feasible_for_own_cut(self, rng):
         inst = one_dim_instance()
-        pts = [PDPoint([0.5], [-0.5])] + [
-            PDPoint(rng.standard_normal(1), rng.standard_normal(1)) for _ in range(50)
-        ]
+        pts = [np.array([0.5, -0.5])] + [rng.standard_normal(2) for _ in range(50)]
         for x in pts:
-            step = kt_operator(inst, x)
-            feasible = (
-                np.linalg.norm(step.s_star.flat) <= 1e-12
-                or float(x.flat @ step.s_star.flat) <= step.eta
-            )
-            assert (step.Tx is x) == feasible
+            _, _, _, _, s_star, eta = blocks(inst, x)
+            feasible = np.linalg.norm(s_star) <= 1e-12 or float(x @ s_star) <= eta
+            assert (kt_operator(inst, x) is x) == feasible
 
     def test_resolvent_identities_exact(self, rng):
         inst = one_dim_instance()
         for _ in range(100):
-            x = PDPoint(rng.standard_normal(1), rng.standard_normal(1))
-            step = kt_operator(inst, x)
-            ua = x.p - inst.gamma * inst.L.adjoint(x.v)
-            ub = inst.L.apply(x.p) + inst.mu * x.v
-            assert np.max(np.abs(step.a + inst.gamma * step.a_star - ua)) <= 1e-12
-            assert np.max(np.abs(step.b + inst.mu * step.b_star - ub)) <= 1e-12
+            x = rng.standard_normal(2)
+            p, v = x[:1], x[1:]
+            a, b, a_star, b_star, _, _ = blocks(inst, x)
+            ua = p - inst.gamma * inst.L.adjoint(v)
+            ub = inst.L.apply(p) + inst.mu * v
+            assert np.max(np.abs(a + inst.gamma * a_star - ua)) <= 1e-12
+            assert np.max(np.abs(b + inst.mu * b_star - ub)) <= 1e-12
 
     def test_firm_quasinonexpansiveness(self, rng):
         inst = one_dim_instance()
         for _ in range(1000):
-            x = PDPoint(rng.standard_normal(1) * 2, rng.standard_normal(1) * 2)
-            tx = kt_operator(inst, x).Tx.flat
-            lhs = np.sum((tx - Z_BAR) ** 2) + np.sum((tx - x.flat) ** 2)
-            rhs = np.sum((x.flat - Z_BAR) ** 2)
+            x = rng.standard_normal(2) * 2
+            tx = kt_operator(inst, x)
+            lhs = np.sum((tx - Z_BAR) ** 2) + np.sum((tx - x) ** 2)
+            rhs = np.sum((x - Z_BAR) ** 2)
             assert lhs <= rhs + 1e-10
 
     def test_solution_containment_in_cut(self, rng):
         # the solution lies in the halfspace the operator projects onto
         inst = one_dim_instance()
         for _ in range(500):
-            x = PDPoint(rng.standard_normal(1) * 3, rng.standard_normal(1) * 3)
-            tx = kt_operator(inst, x).Tx.flat
-            assert float((Z_BAR - tx) @ (x.flat - tx)) <= 1e-10
+            x = rng.standard_normal(2) * 3
+            tx = kt_operator(inst, x)
+            assert float((Z_BAR - tx) @ (x - tx)) <= 1e-10
 
 
 class TestKTResidual:
@@ -208,6 +211,15 @@ class TestFixedPointOperators:
             fixed_point_operator(
                 "forward_backward", op=Zero(), forward=lambda x: x, beta=0.5, gamma=1.5
             )
+        with pytest.raises(ValueError, match="cocoercivity"):
+            fixed_point_operator(
+                "forward_backward", op=Zero(), forward=lambda x: x, beta=np.nan, gamma=0.0
+            )
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan])
+    def test_resolvent_step_must_be_positive(self, gamma):
+        with pytest.raises(ValueError, match="resolvent step"):
+            fixed_point_operator("resolvent", op=L1(), gamma=gamma)
 
     def test_projection_kind(self, rng):
         box = BoxNormalCone([0.0, 0.0], [1.0, 1.0])
@@ -221,9 +233,7 @@ class TestFixedPointOperators:
         T = fixed_point_operator("kuhn_tucker", instance=inst)
         for _ in range(50):
             x = rng.standard_normal(2)
-            via_flat = T(x)
-            via_rich = kt_operator(inst, PDPoint.from_flat(x, 1)).Tx.flat
-            assert np.array_equal(via_flat, via_rich)
+            assert np.array_equal(T(x), kt_apply_flat(inst, x)[0])
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
