@@ -7,11 +7,12 @@ exactly the discrete best-approximation iteration
 
     x_{n+1} = Q(w, x_n, T x_n),
 
-so the integrator and the discrete scheme share one step routine and agree
-bit for bit at step size one.
+so the integrator and the discrete scheme advance in one stepping loop and
+agree bit for bit at step size one.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -119,6 +120,44 @@ class Trajectory:
             np.savetxt(fh, cols, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
+def _check_step(lam, n_steps=0):
+    """Reject a step size outside (0, 1] or a step count that is not an integer >= 0."""
+    if lam is None or not 0.0 < lam <= 1.0:
+        raise ValueError(f"step size must lie in (0, 1], got {lam}")
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
+        raise ValueError(f"number of steps must be a non-negative integer, got {n_steps}")
+
+
+def _iterate(advance, x, max_steps, tol_residual=-math.inf, tol_step=-math.inf):
+    """The one stepping loop ``x_0 = x``, ``x_{n+1}, r_n = advance(x_n)``.
+
+    Records ``x_n`` and ``r_n`` once ``x_{n+1}`` is finite; stops when ``r_n <=
+    tol_residual``, ``||x_n - x_{n-1}|| <= tol_step`` (both off by default) or
+    ``n = max_steps``.  Returns the iterates, residuals and termination reason.
+    """
+    points, residuals = [], []
+    step = math.nan
+    # an overflowing step surfaces as NonFiniteError below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            nxt, resid = advance(x)
+            n = len(points)
+            if not np.isfinite(nxt).all():
+                raise NonFiniteError(f"the step from iterate {n} is not finite")
+            points.append(x)
+            residuals.append(resid)
+            if resid <= tol_residual:
+                return points, residuals, "residual"
+            if step <= tol_step:
+                return points, residuals, "step"
+            if n >= max_steps:
+                return points, residuals, "max_iter"
+            d = nxt - x
+            # np.linalg.norm of a real vector, without its dispatch
+            step = math.sqrt(d.dot(d))
+            x = nxt
+
+
 def euler_nodes(F, x0, lam, n_steps):
     """Euler recursion nodes ``c_0 = x0``, ``c_{k+1} = c_k + lam F(c_k)``.
 
@@ -130,43 +169,34 @@ def euler_nodes(F, x0, lam, n_steps):
 
     Returns an array of shape ``(n_steps + 1, dim)``.
     """
+    _check_step(lam, n_steps)
     return _euler(F, x0, lam, n_steps)[0]
 
 
 def _euler(F, x0, lam, n_steps):
-    """Nodes of :func:`euler_nodes`, and ``||F(c_k)||`` at every node but the last."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"step size must lie in (0, 1], got {lam}")
-    x0 = as_vector(x0)
-    nodes = np.empty((n_steps + 1, x0.shape[0]))
-    nodes[0] = x0
-    field_norms = np.empty(n_steps)
-    cap = getattr(F, "cap", None)
-    # the floor exclusion only binds for runs started inside the admissible
-    # cap; the discrete scheme legitimately starts at the anchor below it
-    floor_binds = cap is not None and cap_membership(cap, x0) == INSIDE_DHAT
-    warned = False
+    """Nodes of :func:`euler_nodes`, and ``||F(c_k)||`` at every node."""
     use_target = lam == 1.0 and getattr(F, "target", None) is not None
-    # an overflowing step surfaces as NonFiniteError below, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            if use_target:
-                nodes[k + 1] = F.target(nodes[k])
-                # F = G - Id, so the unit step is F(c_k) itself, bit for bit
-                fx = nodes[k + 1] - nodes[k]
-            else:
-                fx = np.asarray(F(nodes[k]), dtype=float)
-                nodes[k + 1] = nodes[k] + lam * fx
-            field_norms[k] = np.linalg.norm(fx)
-            if not np.all(np.isfinite(nodes[k + 1])):
-                raise NonFiniteError(f"euler node {k + 1} is not finite")
-            if cap is not None and not warned:
-                membership = cap_membership(cap, nodes[k + 1])
-                if membership == OUTSIDE or (floor_binds and membership != INSIDE_DHAT):
-                    warnings.warn(
-                        f"euler node {k + 1} left the admissible cap", RuntimeWarning
-                    )
-                    warned = True
+
+    def advance(x):
+        if use_target:
+            # F = G - Id, so the unit step lands on G(c_k) and is F(c_k), bit for bit
+            nxt = np.asarray(F.target(x), dtype=float)
+            return nxt, np.linalg.norm(nxt - x)
+        fx = np.asarray(F(x), dtype=float)
+        return x + lam * fx, np.linalg.norm(fx)
+
+    points, field_norms, _ = _iterate(advance, as_vector(x0), n_steps)
+    nodes = np.array(points)
+    cap = getattr(F, "cap", None)
+    if cap is not None:
+        # the floor exclusion only binds for runs started inside the admissible
+        # cap; the discrete scheme legitimately starts at the anchor below it
+        floor_binds = cap_membership(cap, nodes[0]) == INSIDE_DHAT
+        for k in range(1, n_steps + 1):
+            membership = cap_membership(cap, nodes[k])
+            if membership == OUTSIDE or (floor_binds and membership != INSIDE_DHAT):
+                warnings.warn(f"euler node {k} left the admissible cap", RuntimeWarning)
+                break
     return nodes, field_norms
 
 
@@ -176,6 +206,7 @@ def euler_eval(nodes, lam, t):
     On the segment ``[k lam, (k+1) lam]`` the trajectory is
     ``c_k + (t - k lam) F(c_k)``; node times are reproduced exactly.
     """
+    _check_step(lam)
     nodes = np.asarray(nodes, dtype=float)
     n_steps = nodes.shape[0] - 1
     s = t / lam
@@ -194,6 +225,7 @@ def euler_defect(F, nodes, lam, t):
     along it; by convention it is zero at the knots, and its sup over the
     interval shrinks to zero with ``lam`` for uniformly continuous fields.
     """
+    _check_step(lam)
     nodes = np.asarray(nodes, dtype=float)
     n_steps = nodes.shape[0] - 1
     s = t / lam
@@ -204,13 +236,6 @@ def euler_defect(F, nodes, lam, t):
     k = min(int(np.floor(s)), n_steps - 1)
     slope = (nodes[k + 1] - nodes[k]) / lam
     return slope - as_vector(F(euler_eval(nodes, lam, t)))
-
-
-def _kt_projection_step(inst, x_flat, w_flat):
-    """One discrete-scheme step from a flat vector: returns (Q, residual at x)."""
-    tx_flat, resid = kt_apply_flat(inst, x_flat)
-    q = haugazeau_projection(w_flat, x_flat, tx_flat)
-    return q, resid
 
 
 def build_field(inst, cap=None):
@@ -227,8 +252,8 @@ def build_field(inst, cap=None):
         if x.ndim == 2:
             tx, _ = kt_apply_rows(inst, x)
             return haugazeau_rows(w_flat, x, tx)
-        q, _ = _kt_projection_step(inst, x, w_flat)
-        return q
+        tx, _ = kt_apply_flat(inst, x)
+        return haugazeau_projection(w_flat, x, tx)
 
     return VectorField(
         fn=lambda x: target(x) - x,
@@ -244,21 +269,23 @@ def best_approx_iterate(inst, x):
     kind.  Off-cap starts are legal input here but make the scheme's
     containment guarantees void.
     """
+    step = build_field(inst).target
     if isinstance(x, PDPoint):
-        q, _ = _kt_projection_step(inst, x.flat, inst.w.flat)
-        return PDPoint.from_flat(q, inst.dim_p)
-    q, _ = _kt_projection_step(inst, as_vector(x), inst.w.flat)
-    return q
+        return PDPoint.from_flat(step(x.flat), inst.dim_p)
+    return step(as_vector(x))
 
 
-def _trajectory(index, points, residual, w, z, termination, mode, lam, label):
+def _trajectory(points, residual, termination, w, z, mode, lam, label):
     """Records of a run from its iterates, with the diagnostic columns added.
 
-    ``points`` are the iterates in order.  ``norm_to_w`` is NaN without an
-    anchor ``w``, and ``fejer_slack`` is NaN unless both ``w`` and ``z`` are
-    given.
+    ``points`` are the iterates in order, indexed by count or, for Euler runs,
+    by time.  ``norm_to_w`` is NaN without an anchor ``w``, and
+    ``fejer_slack`` is NaN unless both ``w`` and ``z`` are given.
     """
     points = np.array(points, dtype=float)
+    for name, v in (("w", w), ("z", z)):
+        if v is not None and v.shape != points.shape[1:]:
+            raise ValueError(f"{name} has shape {v.shape}, not that of the iterates")
     if w is None:
         dist_w_sq = np.full(points.shape[0], np.nan)
     else:
@@ -270,7 +297,7 @@ def _trajectory(index, points, residual, w, z, termination, mode, lam, label):
     step_norm = np.zeros(points.shape[0])
     step_norm[1:] = np.linalg.norm(np.diff(points, axis=0), axis=1)
     return Trajectory(
-        index=np.asarray(index, dtype=float),
+        index=np.arange(points.shape[0]) * (1.0 if mode == "discrete" else lam),
         points=points,
         norm_to_w=np.sqrt(dist_w_sq),
         fejer_slack=slack,
@@ -326,57 +353,28 @@ def solve(
     EmptyIntersectionError
         Projection breakdown (the iteration left the admissible region).
     NonFiniteError
-        A projection or an iterate stopped being finite.
+        The step from a recorded iterate is not finite.
     """
     if mode not in ("discrete", "euler"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "euler":
-        if lam is None or not 0.0 < lam <= 1.0:
-            raise ValueError(f"euler mode needs a step size in (0, 1], got {lam}")
+        _check_step(lam)
     # written so that a NaN criterion fails too
     if not (max_iter > 0 and tol_residual > 0 and tol_step > 0):
         raise ValueError("stop criteria must be strictly positive")
 
     w_flat = inst.w.flat
-    x = inst.x0.flat
-    points, residuals = [], []
-    # an overflowing step surfaces as NonFiniteError below, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            q, resid = _kt_projection_step(inst, x, w_flat)
-            n = len(points)
-            if not np.isfinite(q).all():
-                raise NonFiniteError(f"the projection at iterate {n} is not finite")
-            if n > 0:
-                d = x - points[-1]
-                # np.linalg.norm of a real vector, without its dispatch
-                step_small = math.sqrt(d.dot(d)) <= tol_step
-            else:
-                step_small = False
-            points.append(x)
-            residuals.append(resid)
-            if resid <= tol_residual:
-                termination = "residual"
-                break
-            if step_small:
-                termination = "step"
-                break
-            if n >= max_iter:
-                termination = "max_iter"
-                break
-            # lam = 1 collapses the relaxed step to the projection itself; taking
-            # it directly keeps euler(1) and discrete bit-identical.
-            if mode == "discrete" or lam == 1.0:
-                x = q
-            else:
-                x = x + lam * (q - x)
-                if not np.all(np.isfinite(x)):
-                    raise NonFiniteError(f"iterate {n + 1} is not finite")
-    index = np.arange(len(points)) * (1.0 if mode == "discrete" else lam)
     z_flat = None if z is None else as_vector(z)
-    return _trajectory(
-        index, points, residuals, w_flat, z_flat, termination, mode, lam, label
-    )
+    step = 1.0 if mode == "discrete" else lam
+
+    def advance(x):
+        tx, resid = kt_apply_flat(inst, x)
+        q = haugazeau_projection(w_flat, x, tx)
+        # lam = 1 takes Q itself, so euler(1) and discrete agree bit for bit
+        return (q if step == 1.0 else x + step * (q - x)), resid
+
+    run = _iterate(advance, inst.x0.flat, max_iter, tol_residual, tol_step)
+    return _trajectory(*run, w_flat, z_flat, mode, lam, label)
 
 
 def integrate_field(F, x0, lam, t_final, cap=None, z=None, label=""):
@@ -389,13 +387,10 @@ def integrate_field(F, x0, lam, t_final, cap=None, z=None, label=""):
     # the chained comparison also rejects NaN
     if not 0 < t_final < math.inf:
         raise ValueError(f"t_final must be finite and positive, got {t_final}")
+    _check_step(lam)
     cap = cap if cap is not None else getattr(F, "cap", None)
     n_steps = int(np.ceil(t_final / lam - 1e-12))
-    nodes, field_norms = _euler(F, x0, lam, n_steps)
-    residuals = np.append(field_norms, np.linalg.norm(F(nodes[-1])))
     w_flat = cap.w if cap is not None else None
     z_flat = as_vector(z) if z is not None else (cap.z if cap is not None else None)
-    index = np.arange(n_steps + 1) * lam
-    return _trajectory(
-        index, nodes, residuals, w_flat, z_flat, "t_final", "euler", lam, label
-    )
+    nodes, residuals = _euler(F, x0, lam, n_steps)
+    return _trajectory(nodes, residuals, "t_final", w_flat, z_flat, "euler", lam, label)

@@ -155,6 +155,23 @@ def test_overflowing_step_raises_non_finite(tmp_path):
         mflow.solve(resolve_instance(str(path)).instance, max_iter=1)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda inst: mflow.solve(inst, max_iter=50),
+        lambda inst: mflow.solve(inst, mode="euler", lam=0.5, max_iter=50),
+        lambda inst: mflow.euler_nodes(mflow.build_field(inst), inst.x0.flat, 0.5, 50),
+        lambda inst: mflow.integrate_field(mflow.build_field(inst), inst.x0.flat, 0.5, 20),
+    ],
+    ids=["solve", "solve-relaxed", "euler_nodes", "integrate_field"],
+)
+def test_overflowing_step_raises_from_every_run(tmp_path, run):
+    path = tmp_path / "ovf.json"
+    path.write_text(json.dumps(OVERFLOW_DOC))
+    with pytest.raises(mflow.NonFiniteError, match="the step from iterate"):
+        run(resolve_instance(str(path)).instance)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",

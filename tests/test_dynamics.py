@@ -5,6 +5,7 @@ import pytest
 
 import mflow.space
 from mflow import (
+    NonFiniteError,
     PDPoint,
     VectorField,
     best_approx_iterate,
@@ -26,6 +27,11 @@ def drift_field():
     return VectorField(fn=lambda x: np.array([1.0 - x[0], 0.0]))
 
 
+def overflow_field(edge):
+    """Unit drift along the first axis, infinite once that coordinate reaches ``edge``."""
+    return VectorField(fn=lambda x: np.array([np.inf if x[0] >= edge else 1.0, 0.0]))
+
+
 class TestEulerNodes:
     def test_contraction_recursion(self):
         nodes = euler_nodes(drift_field(), [0.0, -1.0], 0.5, 3)
@@ -42,6 +48,18 @@ class TestEulerNodes:
             euler_nodes(drift_field(), [0.0, 0.0], 0.0, 3)
         with pytest.raises(ValueError):
             euler_nodes(drift_field(), [0.0, 0.0], 1.5, 3)
+
+    @pytest.mark.parametrize("n_steps", [-1, 2.5])
+    def test_step_count_must_be_natural(self, n_steps):
+        with pytest.raises(ValueError, match="number of steps"):
+            euler_nodes(drift_field(), [0.0, 0.0], 0.5, n_steps)
+
+    @pytest.mark.parametrize("edge", [1.0, 2.0], ids=["interior", "last-node"])
+    def test_overflowing_field_raises(self, edge):
+        # nodes 0, 0.5, ..., 2.0: the field is infinite from the node at ``edge`` on,
+        # and the step from the last node is checked like every other
+        with pytest.raises(NonFiniteError, match=f"from iterate {int(2 * edge)} "):
+            euler_nodes(overflow_field(edge), [0.0, 0.0], 0.5, 4)
 
     def test_unit_step_matches_discrete_iterates(self):
         named = get_instance("quadratic1d")
@@ -84,6 +102,15 @@ class TestEulerEval:
             euler_eval(nodes, 0.5, t)
         with pytest.raises(ValueError, match="outside"):
             euler_defect(F, nodes, 0.5, t)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0, np.nan])
+    def test_step_size_bounds(self, lam):
+        F = drift_field()
+        nodes = euler_nodes(F, [0.0, -1.0], 0.5, 3)
+        with pytest.raises(ValueError, match="step size"):
+            euler_eval(nodes, lam, 0.5)
+        with pytest.raises(ValueError, match="step size"):
+            euler_defect(F, nodes, lam, 0.5)
 
 
 class TestEulerDefect:
@@ -306,9 +333,44 @@ class TestIntegrateField:
             with pytest.raises(ValueError, match="t_final"):
                 integrate_field(named.extended_field, [0.0, -1.0], 0.1, t_final)
 
+    @pytest.mark.parametrize("lam", [0.0, np.nan])
+    def test_step_size_bounds(self, lam):
+        with pytest.raises(ValueError, match="step size"):
+            integrate_field(drift_field(), [0.0, -1.0], lam, 1.0)
+
+    @pytest.mark.parametrize("edge", [1.0, 2.0], ids=["interior", "last-node"])
+    def test_overflowing_field_raises(self, edge):
+        with pytest.raises(NonFiniteError, match=f"from iterate {int(2 * edge)} "):
+            integrate_field(overflow_field(edge), [0.0, 0.0], 0.5, 2.0)
+
+    @pytest.mark.parametrize("tag", ["quadratic1d", "quadratic3x2", "lasso1d", "lasso3x2"])
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 1.0])
+    def test_matches_relaxed_solve(self, tag, lam):
+        # both runs take the relaxed step x + lam (Q - x), or Q itself at lam = 1
+        named = get_instance(tag)
+        inst = named.instance
+        tiny = dict(tol_residual=1e-300, tol_step=1e-300)
+        a = solve(inst, mode="euler", lam=lam, max_iter=400, **tiny)
+        b = integrate_field(build_field(inst, named.cap), inst.x0.flat, lam, 400 * lam)
+        assert a.iterations == b.iterations == 400
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a.index.tobytes() == b.index.tobytes()
+
 
 class TestRecordColumns:
     """Every record column against its per-row definition."""
+
+    def test_anchor_shapes_must_match_iterates(self):
+        inst = get_instance("quadratic3x2").instance
+        for z in ([0.1], [0.1, 0.2]):
+            with pytest.raises(ValueError, match="z has shape"):
+                solve(inst, max_iter=5, z=z)
+        named = get_instance("lens-drift")
+        F, start = named.extended_field, named.start
+        with pytest.raises(ValueError, match="z has shape"):
+            integrate_field(F, start, 0.5, 1.0, cap=named.cap, z=[0.3])
+        with pytest.raises(ValueError, match="w has shape"):
+            integrate_field(F, start, 0.5, 1.0, cap=get_instance("quadratic3x2").cap)
 
     @staticmethod
     def check_columns(traj, cap):

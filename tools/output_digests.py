@@ -31,6 +31,9 @@ def commands():
     out = []
     for tag in SPLITTING:
         out.append((f"solve {tag}", ["solve", "--instance", tag, "--max-iter", "3000"]))
+    for tag in SPLITTING:
+        args = ["solve", "--instance", tag, "--mode", "euler", "--lambda", "0.5"]
+        out.append((f"solve {tag} euler 0.5", args + ["--max-iter", "3000"]))
     for tag in SPLITTING + FIELDS:
         for seed in CHECK_SEEDS:
             args = ["check", "--instance", tag, "--samples", "512", "--seed", str(seed)]
