@@ -166,8 +166,8 @@ def cmd_integrate(args):
     _merge_config(args)
     named = _resolve(args)
     lams = _parse_lambdas(args.lam)
-    t_final = args.t_final if args.t_final is not None else 1.0
-    _positive("t-final", t_final)
+    _positive("t-final", args.t_final)
+    _positive("t-final / smallest --lambda", args.t_final / min(lams))
     out = _out_dir(args)
 
     fld = named.extended_field or named.flow_field()
@@ -178,14 +178,14 @@ def cmd_integrate(args):
     sup_errors = []
     for lam in lams:
         traj = dynamics.integrate_field(
-            fld, x0, lam, t_final, cap=named.cap, z=named.z, label=named.tag
+            fld, x0, lam, args.t_final, cap=named.cap, z=named.z, label=named.tag
         )
         csv_path = out / f"{named.tag}_lam{lam:g}.csv"
         traj.write_csv(csv_path)
         row = {"lambda": lam, "steps": traj.iterations, "csv": str(csv_path)}
         if references:
             # against the closest closed form (extensions may branch)
-            tgrid = np.linspace(0.0, t_final, 1001)
+            tgrid = np.linspace(0.0, args.t_final, 1001)
             nodes = traj.points
             best_label, best_err = None, np.inf
             for label, reference in references:
@@ -337,7 +337,7 @@ def build_parser():
     p_int.add_argument(
         "--lambda", dest="lam", default=None, help="comma-separated step sizes in (0, 1]"
     )
-    p_int.add_argument("--t-final", dest="t_final", type=float, default=None)
+    p_int.add_argument("--t-final", dest="t_final", type=float, default=1.0)
     p_int.add_argument("--x0", default=None, help="starting point as a JSON array")
     p_int.set_defaults(fn=cmd_integrate)
 

@@ -12,7 +12,6 @@ finiteness.
 """
 
 import numbers
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,7 @@ __all__ = [
     "convergence_report",
 ]
 
-# Rejection sampling gives up after this many Sobol batches.
+# Rejection sampling gives up after this many R_d batches.
 SAMPLE_MAX_BATCHES = 64
 # Step fractions h at which check_cap_invariance tests the segment x + h F(x).
 INVARIANCE_STEPS = (0.25, 0.5, 0.75, 1.0)
@@ -89,36 +88,23 @@ class AssumptionReport:
 def sample_cap(cap, n_samples=512, seed=0):
     """Low-discrepancy points inside the cap.
 
-    A scrambled Sobol stream fills the bounding box of the cap's ball.  One
-    vectorized test per batch drops the candidates that cannot lie in the
-    ball; each remaining one is kept if it passes :func:`cap_membership`,
-    until ``n_samples`` survive.  The screen changes no result, only the
-    number of exact tests.  Deterministic for fixed ``seed``.
+    A uniformly shifted R_d sequence (:func:`_rd_batches`; shift drawn from ``seed``,
+    Cranley & Patterson 1976) fills the bounding box of the cap's ball.  Each candidate that
+    can lie in the ball is kept if it passes :func:`cap_membership`, until ``n_samples``
+    survive; the vectorized ball screen changes no result, only the number of exact tests.
     """
     integral = isinstance(n_samples, numbers.Integral) and not isinstance(n_samples, bool)
     if not (integral and n_samples > 0):
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
-    # scipy.stats takes about a second to import and only this function needs it
-    from scipy.stats import qmc
-
-    dim = cap.dim
-    center = cap.center
-    radius = cap.radius
-    slack = _ball_screen_slack(dim, radius, float(np.linalg.norm(center)))
-    sobol = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    batch_size = max(n_samples, 64)
+    slack = _ball_screen_slack(cap.dim, cap.radius, float(np.linalg.norm(cap.center)))
+    shift = np.random.default_rng(seed).random(cap.dim)
     kept = []
-    for _ in range(SAMPLE_MAX_BATCHES):
-        with warnings.catch_warnings():
-            # batch sizes here are not powers of two; the balance warning
-            # does not matter for rejection sampling
-            warnings.simplefilter("ignore", UserWarning)
-            batch = sobol.random(batch_size)
+    for batch in _rd_batches(shift, max(n_samples, 64)):
         unit = 2.0 * batch - 1.0
         # only rows that can pass the ball test are mapped and tested exactly;
         # each mapped row equals that row of center + radius * unit
         near = unit[np.vecdot(unit, unit) <= 1.0 + slack]
-        for x in center + radius * near:
+        for x in cap.center + cap.radius * near:
             if cap_membership(cap, x) == INSIDE_DHAT:
                 kept.append(x)
                 if len(kept) == n_samples:
@@ -127,6 +113,20 @@ def sample_cap(cap, n_samples=512, seed=0):
         f"cap sampling stalled: {len(kept)}/{n_samples} accepted; "
         "is the floor radius nearly the whole ball?"
     )
+
+
+def _rd_batches(shift, size):
+    """The shifted R_d sequence ``frac(shift + n alpha)`` (Roberts 2018), in batches.
+
+    Batch ``b < SAMPLE_MAX_BATCHES`` holds ``n = b size + 1, ..., (b+1) size``, and
+    ``alpha_j = phi^-j`` for the root ``phi > 1`` of ``phi^(d+1) = phi + 1``, ``d = len(shift)``.
+    """
+    phi = 2.0
+    for _ in range(64):  # a contraction by less than 1/3 per step, onto the root
+        phi = (1.0 + phi) ** (1.0 / (len(shift) + 1))
+    alpha = phi ** -np.arange(1.0, len(shift) + 1)
+    for b in range(SAMPLE_MAX_BATCHES):
+        yield (shift + np.arange(b * size + 1, (b + 1) * size + 1)[:, None] * alpha) % 1.0
 
 
 def _ball_screen_slack(dim, radius, center_norm):

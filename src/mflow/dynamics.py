@@ -384,10 +384,10 @@ def integrate_field(F, x0, lam, t_final, cap=None, z=None, label=""):
     overrides the field's declared cap for the Fejer/distance columns; when
     neither provides anchors those columns are NaN.
     """
-    # the chained comparison also rejects NaN
-    if not 0 < t_final < math.inf:
-        raise ValueError(f"t_final must be finite and positive, got {t_final}")
     _check_step(lam)
+    # the chained comparison also rejects NaN; a finite t_final / lam bounds the step count
+    if not 0 < t_final / lam < math.inf:
+        raise ValueError(f"t_final / lam must be finite and positive, got {t_final} / {lam}")
     cap = cap if cap is not None else getattr(F, "cap", None)
     n_steps = int(np.ceil(t_final / lam - 1e-12))
     w_flat = cap.w if cap is not None else None

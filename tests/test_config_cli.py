@@ -111,6 +111,7 @@ def test_run_config_value_of_wrong_type_exit_one(
         ["solve", "--instance", "quadratic1d", "--tol-step", "nan"],
         ["integrate", "--instance", "lens-drift", "--lambda", "1", "--t-final", "nan"],
         ["integrate", "--instance", "lens-drift", "--lambda", "1", "--t-final", "inf"],
+        ["integrate", "--instance", "lens-drift", "--lambda", "1e-10", "--t-final", "1e300"],
         ["integrate", "--instance", "lens-drift", "--lambda", "1", "--x0", "[1,2,3]"],
         ["project", "[0,0]", "[1,0]", "[1]"],
     ],
@@ -122,6 +123,7 @@ def test_run_config_value_of_wrong_type_exit_one(
         "tol_step_nan",
         "t_final_nan",
         "t_final_inf",
+        "t_final_over_lambda_inf",
         "x0_dimension",
         "project_dimension",
     ],
@@ -257,17 +259,22 @@ def test_check_writes_no_stderr(tmp_path, tag, code):
     assert run.stderr == ""
 
 
-def test_cli_import_loads_no_scipy():
-    # SciPy is imported lazily by diagnostics.sample_cap only
+def test_check_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every import of scipy raise ImportError
     code = (
-        "import sys, mflow.cli; "
-        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        "import sys; sys.modules['scipy'] = None\n"
+        "from mflow import builtin_tags\n"
+        "from mflow.cli import main\n"
+        "argv = ['check', '--samples', '64', '--instance']\n"
+        "print({tag: main(argv + [tag, '--out', tag]) for tag in builtin_tags()})"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(mflow.__file__).parents[1]))
     run = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path
     )
-    assert run.stdout.strip() == "[]"
+    assert run.stderr == ""
+    codes = {tag: 2 if tag == "lens-drift" else 0 for tag in mflow.builtin_tags()}
+    assert run.stdout.splitlines()[-1] == repr(codes)
 
 
 class TestProjectCommand:

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -27,7 +25,7 @@ from mflow import (
     sample_cap,
     solve,
 )
-from mflow.diagnostics import SAMPLE_MAX_BATCHES
+from mflow.diagnostics import _rd_batches
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +49,23 @@ class TestSampleCap:
         with pytest.raises(ValueError, match="positive integer"):
             sample_cap(lens.cap, n_samples=n_samples)
 
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_rd_sequence(self, dim):
+        # with a zero shift the first point is alpha itself, and 1 / alpha_1 = phi
+        alpha = next(_rd_batches(np.zeros(dim), 1))[0]
+        phi = 1.0 / alpha[0]
+        assert abs(phi ** (dim + 1) - phi - 1.0) <= 4 * np.spacing(phi + 1.0)
+        assert alpha == pytest.approx(alpha[0] ** np.arange(1, dim + 1), rel=1e-14)
+        for seed in (0, 7):
+            shift = np.random.default_rng(seed).random(dim)
+            points = next(_rd_batches(shift, 4096))
+            assert points.shape == (4096, dim)
+            assert np.all((points >= 0.0) & (points < 1.0))
+            # 8 bins per axis; an i.i.d. draw would put 512 +- 21 points in each
+            for axis in points.T:
+                counts = np.bincount((axis * 8).astype(int), minlength=8)
+                assert np.all(np.abs(counts - 512) <= 32), (seed, counts)
+
     def test_deterministic_for_seed(self, lens):
         a = sample_cap(lens.cap, n_samples=64, seed=7)
         b = sample_cap(lens.cap, n_samples=64, seed=7)
@@ -64,14 +79,9 @@ def _unscreened_sample_cap(cap, n_samples, seed):
 
     Returns None where the sampling stalls.
     """
-    from scipy.stats import qmc
-
-    sobol = qmc.Sobol(d=cap.dim, scramble=True, seed=seed)
+    shift = np.random.default_rng(seed).random(cap.dim)
     kept = []
-    for _ in range(SAMPLE_MAX_BATCHES):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            batch = sobol.random(max(n_samples, 64))
+    for batch in _rd_batches(shift, max(n_samples, 64)):
         for x in cap.center + cap.radius * (2.0 * batch - 1.0):
             if cap_membership(cap, x) == INSIDE_DHAT:
                 kept.append(x)

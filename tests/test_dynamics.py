@@ -333,6 +333,18 @@ class TestIntegrateField:
             with pytest.raises(ValueError, match="t_final"):
                 integrate_field(named.extended_field, [0.0, -1.0], 0.1, t_final)
 
+    def test_rejects_step_count_overflow(self):
+        # t_final and lam are each legal, but their ratio overflows
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return drift_field()(x)
+
+        with pytest.raises(ValueError, match="t_final / lam"):
+            integrate_field(VectorField(fn=counted), [0.0, -1.0], 1e-10, 1e300)
+        assert calls == []
+
     @pytest.mark.parametrize("lam", [0.0, np.nan])
     def test_step_size_bounds(self, lam):
         with pytest.raises(ValueError, match="step size"):
