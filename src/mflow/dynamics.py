@@ -142,7 +142,11 @@ def _iterate(advance, x, max_steps, tol_residual=-math.inf, tol_step=-math.inf):
         while True:
             nxt, resid = advance(x)
             n = len(points)
-            if not np.isfinite(nxt).all():
+            d = nxt - x
+            # np.linalg.norm without its dispatch; x is finite, so a finite norm
+            # proves nxt finite, and only an infinite or NaN one is decided entrywise
+            next_step = math.sqrt(d.dot(d))
+            if not next_step < math.inf and not np.isfinite(nxt).all():
                 raise NonFiniteError(f"the step from iterate {n} is not finite")
             points.append(x)
             residuals.append(resid)
@@ -152,9 +156,7 @@ def _iterate(advance, x, max_steps, tol_residual=-math.inf, tol_step=-math.inf):
                 return points, residuals, "step"
             if n >= max_steps:
                 return points, residuals, "max_iter"
-            d = nxt - x
-            # np.linalg.norm of a real vector, without its dispatch
-            step = math.sqrt(d.dot(d))
+            step = next_step
             x = nxt
 
 
@@ -181,9 +183,10 @@ def _euler(F, x0, lam, n_steps):
         if use_target:
             # F = G - Id, so the unit step lands on G(c_k) and is F(c_k), bit for bit
             nxt = np.asarray(F.target(x), dtype=float)
-            return nxt, np.linalg.norm(nxt - x)
+            d = nxt - x
+            return nxt, math.sqrt(d.dot(d))
         fx = np.asarray(F(x), dtype=float)
-        return x + lam * fx, np.linalg.norm(fx)
+        return x + lam * fx, math.sqrt(fx.dot(fx))
 
     points, field_norms, _ = _iterate(advance, as_vector(x0), n_steps)
     nodes = np.array(points)

@@ -126,6 +126,20 @@ def _project_cut(normal, offset, w):
     return np.where(viol[..., None] > 0.0, w - step, w)
 
 
+def _centred(wb, bc):
+    """``wb`` and ``bc`` times one power of two per row that brings ``||wb|| ||bc||`` near 1.
+
+    The scaling is exact.  The case tests of the two-cut projection do not
+    see it, and its formulas, which multiply the scaled Gram data into the
+    unscaled differences, keep their value.
+    """
+    # frexp exponents of the largest entries; a zero or non-finite row gives 0
+    _, e_wb = np.frexp(np.max(np.abs(wb), axis=-1))
+    _, e_bc = np.frexp(np.max(np.abs(bc), axis=-1))
+    shift = (-((e_wb + e_bc) // 2))[..., None]
+    return np.ldexp(wb, shift), np.ldexp(bc, shift)
+
+
 def haugazeau_projection(w, b, c, return_case=False):
     """Project ``w`` onto ``H(w, b) & H(b, c)`` in closed form.
 
@@ -138,7 +152,10 @@ def haugazeau_projection(w, b, c, return_case=False):
     * (iv)  rho = 0 and pi < 0:  the intersection is empty.
 
     Degenerate pairs (``b == w`` or ``c == b``) make one cut the whole space
-    and fall into case (i).  Case (iv) raises
+    and fall into case (i).  ``mu`` or ``nu`` outside (1e-120, 1e120) is
+    recomputed with ``pi`` from the differences scaled by a power of two
+    (exact), so that no Gram product under- or overflows; an overflowing
+    entry still raises numpy's overflow warning first.  Case (iv) raises
     :class:`EmptyIntersectionError`: starting from an admissible point it
     cannot occur in exact arithmetic, so hitting it signals numerical
     breakdown and is never silently clamped.
@@ -162,9 +179,12 @@ def haugazeau_projection(w, b, c, return_case=False):
 
     wb = w - b
     bc = b - c
-    pi = float(wb @ bc)
-    mu = float(wb @ wb)
-    nu = float(bc @ bc)
+    pi = float(wb.dot(bc))
+    mu = float(wb.dot(wb))
+    nu = float(bc.dot(bc))
+    if not (1e-120 < mu < 1e120 and 1e-120 < nu < 1e120):
+        wb_s, bc_s = _centred(wb, bc)
+        pi, mu, nu = float(wb_s.dot(bc_s)), float(wb_s.dot(wb_s)), float(bc_s.dot(bc_s))
     rho = mu * nu - pi * pi
 
     # rho >= 0 by Cauchy-Schwarz; rounding may leave a tiny signed residue.
@@ -196,6 +216,13 @@ def haugazeau_rows(w, b_rows, c_rows):
     pi = np.vecdot(wb, bc)
     mu = np.vecdot(wb, wb)
     nu = np.vecdot(bc, bc)
+    # the range of haugazeau_projection; negated, so that a NaN row is rescaled too
+    far = ~((1e-120 < mu) & (mu < 1e120) & (1e-120 < nu) & (nu < 1e120))
+    if np.any(far):
+        wb_s, bc_s = _centred(wb[far], bc[far])
+        pi[far], mu[far], nu[far] = (
+            np.vecdot(wb_s, bc_s), np.vecdot(wb_s, wb_s), np.vecdot(bc_s, bc_s)
+        )
     rho = mu * nu - pi * pi
     case_i = rho <= GEOM_TOL * mu * nu
     if np.any(case_i & (pi < 0.0)):

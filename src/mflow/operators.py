@@ -233,13 +233,14 @@ class LinearMap:
     def apply(self, x):
         x = np.asarray(x)
         if x.ndim == 1:
-            return self.matrix @ x
+            # .dot is @ without the gufunc dispatch, but keeps a one-element -0.0 product
+            return self.matrix.dot(x) if x.size > 1 else self.matrix @ x
         return np.matmul(self.matrix, x[..., None])[..., 0]
 
     def adjoint(self, y):
         y = np.asarray(y)
         if y.ndim == 1:
-            return self._transpose @ y
+            return self._transpose.dot(y) if y.size > 1 else self._transpose @ y
         return np.matmul(self._transpose, y[..., None])[..., 0]
 
 

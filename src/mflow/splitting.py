@@ -94,17 +94,18 @@ def _kt_blocks(inst, p, v):
     ``s = (a_star + L* b_star, b - L a)`` with level ``eta = <a, a_star> +
     <b, b_star>``.
     """
-    L = inst.L
-    ua = p - inst.gamma * L.adjoint(v)
-    a = inst.A.resolvent(inst.gamma, ua)
-    a_star = (ua - a) / inst.gamma
+    L, gamma, mu = inst.L, inst.gamma, inst.mu
+    ua = p - gamma * L.adjoint(v)
+    a = inst.A.resolvent(gamma, ua)
+    a_star = (ua - a) / gamma
 
-    ub = L.apply(p) + inst.mu * v
-    b = inst.B.resolvent(inst.mu, ub)
-    b_star = (ub - b) / inst.mu
+    ub = L.apply(p) + mu * v
+    b = inst.B.resolvent(mu, ub)
+    b_star = (ub - b) / mu
 
     s_flat = np.concatenate([a_star + L.adjoint(b_star), b - L.apply(a)], axis=-1)
     if p.ndim == 1:
+        # @, not .dot as on flat vectors: a block may have one element (see LinearMap.apply)
         eta = float(a @ a_star + b @ b_star)
     else:
         eta = np.vecdot(a, a_star) + np.vecdot(b, b_star)
@@ -113,11 +114,11 @@ def _kt_blocks(inst, p, v):
 
 def _cut_projection(x_flat, s_flat, eta):
     """Project ``x`` onto ``{h : <h, s> <= eta}``; identity when ``||s|| <= S_STAR_TOL``."""
-    s_norm_sq = float(s_flat @ s_flat)
+    s_norm_sq = float(s_flat.dot(s_flat))
     s_norm = math.sqrt(s_norm_sq)
     if s_norm <= S_STAR_TOL:
         return x_flat, 0.0
-    viol = float(x_flat @ s_flat) - eta
+    viol = float(x_flat.dot(s_flat)) - eta
     if viol <= 0.0:
         return x_flat, 0.0
     return x_flat - (viol / s_norm_sq) * s_flat, viol / s_norm

@@ -206,13 +206,17 @@ def test_wrong_solution_exit_one(tmp_path, capsys, doc, command):
     assert err.startswith("error: ") and "wrong_z.json" in err and "residual" in err
 
 
-# The anchor is so far from the solution that the field overflows on the cap.
-FAR_ANCHOR_DOC = dict(INSTANCE_DOC, name="far", w={"p": [1e100], "v": [0.0]})
+# The coupling is so strong that the field overflows on the cap: L* maps the
+# dual Yosida value b*, of size about 1e300, beyond the largest double.  The
+# solution is (p, v) = (c / (1 + c^2), -1 / (1 + c^2)) for L = [[c]].
+STRONG_COUPLING_DOC = dict(
+    INSTANCE_DOC, name="strong", L=[[1e300]], z=[1e-300, 0.0], w={"p": [1.0], "v": [0.0]}
+)
 
 
 def test_check_non_finite_field_exit_three(tmp_path, capsys):
-    path = tmp_path / "far.json"
-    path.write_text(json.dumps(FAR_ANCHOR_DOC))
+    path = tmp_path / "strong.json"
+    path.write_text(json.dumps(STRONG_COUPLING_DOC))
     argv = ["check", "--instance", str(path), "--samples", "16", "--out", str(tmp_path)]
     code = main(argv)
     assert code == 3

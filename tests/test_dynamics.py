@@ -32,6 +32,29 @@ def overflow_field(edge):
     return VectorField(fn=lambda x: np.array([np.inf if x[0] >= edge else 1.0, 0.0]))
 
 
+def jump_field(edge, value):
+    """Unit steps along the first axis, landing on ``value`` from ``x[0] >= edge`` on."""
+
+    def target(x):
+        return np.full(2, value) if x[0] >= edge else x + np.array([1.0, 0.0])
+
+    return VectorField(fn=lambda x: target(x) - x, target=target)
+
+
+class TestStepFiniteness:
+    def test_finite_step_with_overflowing_norm_is_recorded(self):
+        # ||1e200 - x||^2 overflows, yet the next node is finite
+        nodes = euler_nodes(jump_field(2.0, 1e200), [0.0, 0.0], 1.0, 4)
+        assert np.array_equal(nodes[:3], [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        assert np.array_equal(nodes[3:], np.full((2, 2), 1e200))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("edge", [0, 2, 4])
+    def test_non_finite_step_raises_at_its_iterate(self, edge, value):
+        with pytest.raises(NonFiniteError, match=f"^the step from iterate {edge} is not finite$"):
+            euler_nodes(jump_field(float(edge), value), [0.0, 0.0], 1.0, 4)
+
+
 class TestEulerNodes:
     def test_contraction_recursion(self):
         nodes = euler_nodes(drift_field(), [0.0, -1.0], 0.5, 3)

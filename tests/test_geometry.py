@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +21,7 @@ from mflow import (
     project_halfspace,
     project_onto_halfspaces,
 )
+from mflow.geometry import haugazeau_rows
 
 from .oracles import project_two_constraints, two_cut_projection_oracle
 
@@ -202,6 +205,43 @@ class TestTwoCutProjection:
             for z1, z2 in ((w, b), (b, c)):
                 hs = halfspace_of(z1, z2)
                 assert hs.violation(got) <= 1e-10 * (1 + abs(hs.offset))
+
+
+def dyadic_points(dim):
+    """Three points with entries i / 2**10, |i| <= 2**20: their Gram data is exact."""
+    entry = st.integers(-(2**20), 2**20).map(lambda i: i / 2**10)
+    return st.tuples(*(arrays(float, dim, elements=entry) for _ in range(3)))
+
+
+class TestTwoCutProjectionScaling:
+    def test_underflowing_gram_data(self):
+        # ||w - b||^2 is subnormal: unscaled, case iii divided by a vanishing rho
+        w, b, c = [7.7e-159, 0.0], [0.0, 0.0], [1.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, case = haugazeau_projection(w, b, c, return_case=True)
+            rows = haugazeau_rows(np.array(w), np.array([b]), np.array([c]))
+        assert case == "iii"
+        assert np.array_equal(got, [0.0, 2.0])
+        assert rows.tobytes() == got.tobytes()
+
+    @given(st.integers(2, 5).flatmap(dyadic_points), st.integers(-500, 500))
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scaling_commutes(self, points, k):
+        # Q(2^k w, 2^k b, 2^k c) = 2^k Q(w, b, c) bit for bit, also where the
+        # scaled Gram data under- or overflows; the point and its row agree
+        w, b, c = points
+        try:
+            want = haugazeau_projection(w, b, c)
+        except EmptyIntersectionError:
+            assume(False)
+        ws, bs, cs = (np.ldexp(v, k) for v in points)
+        # an overflowing Gram entry warns before it is rescaled
+        with np.errstate(over="ignore"):
+            got = haugazeau_projection(ws, bs, cs)
+            rows = haugazeau_rows(ws, bs[None], cs[None])
+        assert got.tobytes() == np.ldexp(want, k).tobytes()
+        assert rows[0].tobytes() == got.tobytes()
 
 
 class TestProjectOntoHalfspaces:

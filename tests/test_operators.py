@@ -153,6 +153,17 @@ def test_linear_map_examples():
         row.apply([1.0, 2.0, 3.0])
 
 
+def test_single_point_matches_row_path_at_blas_size(rng):
+    # a 1-D input goes through ndarray.dot, a stack through np.matmul
+    L = LinearMap(rng.standard_normal((500, 1000)) / np.sqrt(1000))
+    xs = rng.standard_normal((3, 1000))
+    ys = rng.standard_normal((3, 500))
+    applied, adjoined = L.apply(xs), L.adjoint(ys)
+    for k in range(3):
+        assert L.apply(xs[k]).tobytes() == applied[k].tobytes()
+        assert L.adjoint(ys[k]).tobytes() == adjoined[k].tobytes()
+
+
 def test_adjoint_identity(rng):
     L = LinearMap(rng.standard_normal((3, 2)))
     for _ in range(100):

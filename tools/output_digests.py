@@ -3,7 +3,11 @@
     python3 tools/output_digests.py [CHECKOUT] > digests.txt
 
 ``CHECKOUT`` is the root of an mflow source tree (default: the tree this
-script belongs to); its ``src/`` and ``demos/`` are used.  Every command runs
+script belongs to); its ``src/`` and ``demos/`` are used.  Beside the
+commands and demos, one seeded wide quadratic solve (n = 1000, m = 500, a
+fixed iteration count) prints the SHA-256 of its records, so that the
+matvec path is also covered at a size where BLAS, not Python, does the
+work.  Every command runs
 in a fresh interpreter with one BLAS thread, writing into its own temporary
 directory.  For each command the script hashes its exit code, stdout and
 stderr, and then every file it wrote; each output's path is replaced by a
@@ -24,6 +28,19 @@ SPLITTING = ("quadratic1d", "quadratic3x2", "lasso1d", "lasso3x2")
 FIELDS = ("lens-drift", "box-flow")
 CHECK_SEEDS = (0, 1, 7)
 TOKEN = b"<out>"
+WIDE_SOLVE = """
+import hashlib
+import numpy as np
+import mflow
+
+rng = np.random.default_rng(0)
+L = rng.standard_normal((500, 1000)) / np.sqrt(1000)
+named = mflow.quadratic_instance(rng.standard_normal(1000), rng.standard_normal(500), L)
+run = mflow.solve(named.instance, max_iter=300, tol_residual=1e-300, tol_step=1e-300, z=named.z)
+records = (run.points, run.norm_to_w, run.fejer_slack, run.residual, run.step_norm)
+print(run.termination, run.iterations)
+print(hashlib.sha256(b"".join(r.tobytes() for r in records)).hexdigest())
+"""
 
 
 def commands():
@@ -80,6 +97,7 @@ def main(argv=None):
         (label, [sys.executable, "-m", "mflow", *args, "--out", "out"])
         for label, args in commands()
     ]
+    jobs.append(("solve wide n=1000 m=500 seed 0", [sys.executable, "-c", WIDE_SOLVE]))
     jobs += [
         (f"demo {demo.stem}", [sys.executable, str(demo)])
         for demo in sorted((root / "demos").glob("*.py"))
