@@ -14,7 +14,6 @@ from .diagnostics import (
     check_strict_drift,
     check_unique_zero,
     convergence_report,
-    cut_pair_builder,
     sample_cap,
 )
 from .dynamics import (
@@ -41,7 +40,6 @@ from .geometry import (
     fejer_slack,
     halfspace_of,
     haugazeau_projection,
-    project_halfspace,
     project_onto_halfspaces,
 )
 from .operators import (
@@ -107,7 +105,6 @@ __all__ = [
     "check_strict_drift",
     "check_unique_zero",
     "convergence_report",
-    "cut_pair_builder",
     "euler_defect",
     "euler_eval",
     "euler_nodes",
@@ -122,7 +119,6 @@ __all__ = [
     "lasso_instance",
     "operator_from_config",
     "operator_library",
-    "project_halfspace",
     "project_onto_halfspaces",
     "quadratic_instance",
     "sample_cap",

@@ -22,6 +22,7 @@ from .config import ConfigError, load_json, resolve_instance
 from .geometry import GEOM_TOL, EmptyIntersectionError, haugazeau_projection
 from .problems import builtin_tags
 from .space import as_vector
+from .splitting import fixed_point_operator
 
 log = logging.getLogger("mflow")
 
@@ -265,13 +266,8 @@ def cmd_check(args):
         diagnostics.check_outward_drift(fld, named.cap, samples, tol=tol),
     ]
     if named.instance is not None:
-        from .splitting import fixed_point_operator
-
         T = fixed_point_operator("kuhn_tucker", instance=named.instance)
-        builder = diagnostics.cut_pair_builder(T, named.cap.w)
-        reports.extend(
-            diagnostics.check_projection_conditions(builder, named.cap, samples, tol=tol)
-        )
+        reports.extend(diagnostics.check_projection_conditions(T, named.cap, samples, tol=tol))
 
     out = _out_dir(args)
     report_path = out / f"{named.tag}_checks.json"
@@ -301,7 +297,9 @@ def cmd_project(args):
             f"points must have equal dimension, got {w.shape[0]}, {b.shape[0]}, "
             f"{c.shape[0]}"
         )
-    point, case = haugazeau_projection(w, b, c, return_case=True)
+    # an overflowing Gram entry is recomputed from rescaled differences
+    with np.errstate(over="ignore"):
+        point, case = haugazeau_projection(w, b, c, return_case=True)
     print(json.dumps({"projection": point.tolist(), "case": case}))
     return EXIT_OK
 
@@ -321,7 +319,6 @@ def build_parser():
         )
         p.add_argument("--config", help="run configuration JSON path")
         p.add_argument("--out", default=None, help="output directory (default mflow-out)")
-        p.add_argument("--seed", type=int, default=None, help="sampling seed")
 
     p_solve = sub.add_parser("solve", help="run the discrete scheme (or its relaxation)")
     add_common(p_solve)
@@ -344,6 +341,7 @@ def build_parser():
     p_check = sub.add_parser("check", help="run the sampled assumption checks")
     add_common(p_check)
     p_check.add_argument("--samples", type=int, default=None)
+    p_check.add_argument("--seed", type=int, default=None, help="sampling seed")
     p_check.add_argument(
         "--tol", type=float, default=None, help="geometric tolerance (default 1e-10)"
     )

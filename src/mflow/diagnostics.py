@@ -5,7 +5,7 @@ it; every check below states its sample count and reports the worst signed
 violation together with a witness.  Reports are deterministic for a fixed
 seed.
 
-The checks evaluate a field, map or builder once on the whole ``(k, dim)``
+The checks evaluate a field or map once on the whole ``(k, dim)``
 stack of samples, one point per row, so what they are given must map rows
 (see :func:`build_field`); the output is checked once per call for shape and
 finiteness.
@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import NonFiniteError
-from .geometry import (
-    GEOM_TOL,
-    INSIDE_DHAT,
-    cap_membership,
-    halfspace_of,
-    project_onto_halfspaces,
-)
+from .geometry import GEOM_TOL, INSIDE_DHAT, cap_membership, haugazeau_rows
 from .space import as_vector
 
 __all__ = [
@@ -33,7 +27,6 @@ __all__ = [
     "check_cap_invariance",
     "check_outward_drift",
     "check_strict_drift",
-    "cut_pair_builder",
     "check_projection_conditions",
     "convergence_report",
 ]
@@ -292,27 +285,13 @@ def check_strict_drift(F, points, w, z):
     return report
 
 
-def cut_pair_builder(T, w):
-    """Builder for the moving set ``H(w, x) & H(x, Tx)`` as explicit halfspaces.
+def check_projection_conditions(T, cap, samples, tol=GEOM_TOL):
+    """Verify the moving-projection conditions for ``C(x) = H(w, x) & H(x, Tx)``.
 
-    The builder maps one point to two cuts, or a ``(k, dim)`` stack of points
-    to two stacks of ``k`` cuts; ``T`` must map such a stack row by row.
-    """
-    w = as_vector(w)
-
-    def build(x):
-        return [halfspace_of(w, x), halfspace_of(x, T(x))]
-
-    return build
-
-
-def check_projection_conditions(builder, cap, samples, tol=GEOM_TOL):
-    """Verify the moving-projection conditions for ``C(x)`` given as cuts.
-
-    ``builder(x)`` must return the at-most-two halfspaces of ``C(x)``; it is
-    called once with the reference point and once with the ``(k, dim)``
-    stack of samples, for which each cut is a stack of ``k`` rows or one cut
-    shared by every sample.  Four reports come back:
+    ``T`` must map a ``(k, dim)`` stack of points row by row; it is called
+    once, on the reference point stacked on the samples.  The projection of
+    ``w`` onto ``C(x)`` is the flow's own ``Q(w, x, Tx)``
+    (:func:`haugazeau_rows`).  Four reports come back:
 
     * ``projection_stationarity``: the reference point belongs to every
       ``C(x)``, the projection of ``w`` fixes no sampled ``x`` away from the
@@ -328,25 +307,25 @@ def check_projection_conditions(builder, cap, samples, tol=GEOM_TOL):
     k = len(samples)
     scale = 1.0 + float(np.linalg.norm(w - z))
 
-    proj_ref = project_onto_halfspaces(builder(z), w)
-    cuts = builder(samples)
-    proj = np.broadcast_to(project_onto_halfspaces(cuts, w), samples.shape)
+    points = np.vstack([z, samples])
+    tx = _field_values(T, points)
+    proj = haugazeau_rows(w, points, tx)
+    ref_violation = float(np.linalg.norm(proj[0] - z)) - tol * scale
+    proj, tx = proj[1:], tx[1:]
     moved = _norms(proj - samples)
 
-    # per sample: one entry per cut, then one if the sample is far from z
+    # per sample: z's violation of each cut, then one entry if the sample is far from z
     stat = np.column_stack(
-        [np.broadcast_to(hs.violation(z), (k,)) for hs in cuts] + [tol - moved]
+        [np.vecdot(z - samples, w - samples), np.vecdot(z - tx, samples - tx), tol - moved]
     )
     listed = np.ones(stat.shape, dtype=bool)
     listed[:, -1] = _norms(samples - z) > 10.0 * tol * scale
-    row = np.broadcast_to(np.arange(k)[:, None], stat.shape)[listed]
-    column = np.broadcast_to(np.arange(len(cuts) + 1), stat.shape)[listed]
-    ref_violation = float(np.linalg.norm(proj_ref - z)) - tol * scale
+    row, column = np.nonzero(listed)
 
     def stat_extra(i):
         if i == 0:
             return {"kind": "reference_not_fixed"}
-        if column[i - 1] < len(cuts):
+        if column[i - 1] < 2:
             return {"kind": "reference_outside_cut"}
         return {"kind": "spurious_fixed_point", "moved": float(moved[row[i - 1]])}
 

@@ -17,7 +17,6 @@ __all__ = [
     "EmptyIntersectionError",
     "HalfSpace",
     "halfspace_of",
-    "project_halfspace",
     "project_onto_halfspaces",
     "haugazeau_projection",
     "haugazeau_rows",
@@ -98,16 +97,6 @@ def halfspace_of(z1, z2):
         raise ValueError(f"dimension mismatch: {z1.shape[-1]} vs {z2.shape[-1]}")
     a = z1 - z2
     return HalfSpace(a, np.vecdot(z2, a))
-
-
-def project_halfspace(hs, w):
-    """Euclidean projection of ``w`` onto a nonempty halfspace.
-
-    For a stack of cuts, or a stack of points ``w``, one projection per row.
-    """
-    if np.any(hs.is_empty):
-        raise EmptyIntersectionError("cannot project onto an empty halfspace")
-    return _project_cut(hs.normal, hs.offset, np.asarray(w, dtype=float))
 
 
 def _project_cut(normal, offset, w):
@@ -240,23 +229,23 @@ def haugazeau_rows(w, b_rows, c_rows):
 def project_onto_halfspaces(halfspaces, w):
     """Project ``w`` onto the intersection of at most two halfspaces.
 
-    Used by the diagnostics for moving-set projections given as explicit
-    cuts.  Two cuts reduce to the two-cut projection (Haugazeau): ``b``
-    projects ``w`` onto the cut it violates most; when ``b`` violates the
-    other cut, ``c`` projects ``b`` onto it, and ``H(w, b) & H(b, c)`` are
-    then the two given cuts, so the projection is
-    :func:`haugazeau_rows` of ``(w, b, c)``.  Near-parallel opposing cuts
-    raise :class:`EmptyIntersectionError` as its case (iv) does.  When the
-    cuts are stacks of ``k`` rows, ``w`` is projected onto each row's
-    intersection and the result has ``k`` rows.
+    Two cuts reduce to the two-cut projection (Haugazeau): ``b`` projects
+    ``w`` onto the cut it violates most; when ``b`` violates the other cut,
+    ``c`` projects ``b`` onto it, and ``H(w, b) & H(b, c)`` are then the two
+    given cuts, so the projection is :func:`haugazeau_rows` of ``(w, b, c)``.
+    Near-parallel opposing cuts raise :class:`EmptyIntersectionError` as its
+    case (iv) does.  When the cuts are stacks of ``k`` rows, ``w`` is
+    projected onto each row's intersection and the result has ``k`` rows.
     """
     w = np.asarray(w, dtype=float)
     if len(halfspaces) > 2:
         raise ValueError("only intersections of at most two halfspaces are supported")
     if any(np.any(h.is_empty) for h in halfspaces):
         raise EmptyIntersectionError("an empty halfspace was supplied")
-    if len(halfspaces) < 2:
-        return project_halfspace(halfspaces[0], w) if halfspaces else w.copy()
+    if not halfspaces:
+        return w.copy()
+    if len(halfspaces) == 1:
+        return _project_cut(halfspaces[0].normal, halfspaces[0].offset, w)
 
     h1, h2 = halfspaces
     shape = np.broadcast_shapes(w.shape, h1.normal.shape, h2.normal.shape)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mflow
-from mflow.cli import main
+from mflow.cli import build_parser, main
 from mflow.config import ConfigError, instance_from_doc, load_json, resolve_instance
 
 INSTANCE_DOC = {
@@ -134,6 +134,15 @@ def test_bad_numeric_argument_exit_one(tmp_path, capsys, argv):
     code = main(argv)
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_seed_is_an_option_of_check_only(capsys):
+    parser = build_parser()
+    assert parser.parse_args(["check", "--seed", "5"]).seed == 5
+    for command in ("solve", "integrate"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--instance", "quadratic1d", "--seed", "5"])
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 # One step overflows: L maps the resolvent of A, of size 1e308, beyond the
@@ -311,6 +320,15 @@ class TestProjectCommand:
     def test_malformed_point(self, capsys):
         code = main(["project", "[0,0]", "oops", "[1,1]"])
         assert code == 1
+
+    def test_overflowing_gram_entry_prints_only_the_result(self, capsys):
+        # ||w - b||^2 overflows; Q recomputes it from differences scaled by a power of two
+        code = main(["project", "[1e170, 0]", "[0, 0]", "[-1e170, -1e170]"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        out = json.loads(captured.out)
+        assert out["case"] == "ii"
+        assert out["projection"] == pytest.approx([-5e169, -1.5e170], rel=1e-15)
 
 
 class TestSolveCommand:

@@ -4,7 +4,6 @@ import pytest
 from mflow import (
     Cap,
     GEOM_TOL,
-    HalfSpace,
     INSIDE_D_ONLY,
     INSIDE_DHAT,
     L1,
@@ -19,7 +18,6 @@ from mflow import (
     check_strict_drift,
     check_unique_zero,
     convergence_report,
-    cut_pair_builder,
     fixed_point_operator,
     get_instance,
     sample_cap,
@@ -312,9 +310,8 @@ class TestProjectionConditions:
     def test_standard_cut_pair_passes(self):
         named = get_instance("quadratic1d")
         T = fixed_point_operator("kuhn_tucker", instance=named.instance)
-        builder = cut_pair_builder(T, named.cap.w)
         samples = sample_cap(named.cap, n_samples=128, seed=3)
-        reports = check_projection_conditions(builder, named.cap, samples)
+        reports = check_projection_conditions(T, named.cap, samples)
         assert [r.name for r in reports] == [
             "projection_stationarity",
             "projection_range",
@@ -329,24 +326,23 @@ class TestProjectionConditions:
         z = np.zeros(2)
         cap = Cap(w, z, 0.25)
         T = fixed_point_operator("resolvent", op=L1())
-        builder = cut_pair_builder(T, w)
         samples = sample_cap(cap, n_samples=128, seed=4)
-        reports = check_projection_conditions(builder, cap, samples)
+        reports = check_projection_conditions(T, cap, samples)
         assert all(r.passed for r in reports)
 
-    def test_fixed_halfspace_excluding_solution_fails(self):
+    def test_cut_excluding_solution_fails(self):
         named = get_instance("quadratic1d")
-        # constant cut whose boundary separates the anchor from the solution
-        hs = HalfSpace([1.0, 0.0], -1.0)  # {x1 <= -1}, far from z
+        z = named.z
 
-        def builder(x):
-            return [hs]
+        # H(x, 2x - z) = {h : <h - 2x + z, z - x> <= 0} leaves z out: 2 ||z - x||^2 > 0
+        def T(x):
+            return 2.0 * x - z
 
         samples = sample_cap(named.cap, n_samples=64, seed=5)
-        reports = check_projection_conditions(builder, named.cap, samples)
-        stationarity = reports[0]
+        stationarity = check_projection_conditions(T, named.cap, samples)[0]
         assert not stationarity.passed
-
+        kinds = {rec["kind"] for rec in stationarity.violations}
+        assert "reference_outside_cut" in kinds
 
     def test_samples_at_the_reference_are_skipped(self):
         named = get_instance("quadratic3x2")
@@ -354,34 +350,49 @@ class TestProjectionConditions:
         samples = np.vstack([named.z, sample_cap(named.cap, n_samples=32, seed=4)])
         assert check_unique_zero(F, named.cap, named.z, samples).passed
         T = fixed_point_operator("kuhn_tucker", instance=named.instance)
-        builder = cut_pair_builder(T, named.cap.w)
-        reports = check_projection_conditions(builder, named.cap, samples, tol=1e-6)
+        reports = check_projection_conditions(T, named.cap, samples, tol=1e-6)
         # z is its own fixed point; its spurious-fixed-point entry, 1e-6, is skipped
         assert reports[0].passed and reports[0].worst_violation < 1e-8
 
     def test_non_finite_cut_rejected(self):
-        # a NaN offset used to make every comparison false: all four reports passed
+        # a NaN cut used to make every comparison false: all four reports passed
         named = get_instance("quadratic1d")
         samples = sample_cap(named.cap, n_samples=16, seed=5)
         with pytest.raises(ValueError, match="finite"):
             check_projection_conditions(
-                lambda x: [HalfSpace([1.0, 0.0], float("nan"))], named.cap, samples
+                lambda x: np.full_like(x, np.nan), named.cap, samples
             )
 
-    def test_one_builder_call_for_all_samples(self):
+    def test_one_call_of_T_for_all_samples(self):
         named = get_instance("quadratic3x2")
-        T = fixed_point_operator("kuhn_tucker", instance=named.instance)
-        build = cut_pair_builder(T, named.cap.w)
+        kt = fixed_point_operator("kuhn_tucker", instance=named.instance)
         shapes = []
 
-        def builder(x):
+        def T(x):
             shapes.append(np.shape(x))
-            return build(x)
+            return kt(x)
 
         samples = sample_cap(named.cap, n_samples=32, seed=3)
-        reports = check_projection_conditions(builder, named.cap, samples)
-        assert shapes == [named.z.shape, samples.shape]
+        reports = check_projection_conditions(T, named.cap, samples)
+        assert shapes == [(len(samples) + 1, named.z.shape[0])]
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("tag", ["quadratic1d", "quadratic3x2", "lasso1d", "lasso3x2"])
+    def test_alignment_is_the_flow_drift(self, tag):
+        # the check projects with the flow's own Q, so P(x) - x is F(x) bit for bit
+        named = get_instance(tag)
+        F = build_field(named.instance, cap=named.cap)
+        T = fixed_point_operator("kuhn_tucker", instance=named.instance)
+        samples = sample_cap(named.cap, n_samples=128, seed=1)
+        # at tolerance -inf every sample is listed, so every value is compared
+        alignment = check_projection_conditions(T, named.cap, samples, tol=-np.inf)[2]
+        drift = check_outward_drift(F, named.cap, samples, tol=-np.inf)
+        assert alignment.worst_violation == drift.worst_violation
+        assert alignment.witness.tobytes() == drift.witness.tobytes()
+        assert len(alignment.violations) == len(samples)
+        assert [r["violation"] for r in alignment.violations] == [
+            r["violation"] for r in drift.violations
+        ]
 
 
 class TestConvergenceReport:

@@ -18,7 +18,6 @@ from mflow import (
     fejer_slack,
     halfspace_of,
     haugazeau_projection,
-    project_halfspace,
     project_onto_halfspaces,
 )
 from mflow.geometry import haugazeau_rows
@@ -102,23 +101,25 @@ class TestHalfSpace:
 
 
 class TestProjectHalfspace:
+    """One cut, projected through :func:`project_onto_halfspaces`."""
+
     def test_already_feasible(self):
         hs = HalfSpace([1.0, 0.0], 0.0)
-        assert np.array_equal(project_halfspace(hs, [-1.0, 5.0]), [-1.0, 5.0])
+        assert np.array_equal(project_onto_halfspaces([hs], [-1.0, 5.0]), [-1.0, 5.0])
 
     def test_axis_aligned(self):
         hs = HalfSpace([1.0, 0.0], 0.0)
-        assert project_halfspace(hs, [2.0, 3.0]) == pytest.approx([0.0, 3.0])
+        assert project_onto_halfspaces([hs], [2.0, 3.0]) == pytest.approx([0.0, 3.0])
 
     def test_general_case_against_oracle(self):
         hs = HalfSpace([3.0, 4.0], 10.0)
-        got = project_halfspace(hs, [6.0, 8.0])
+        got = project_onto_halfspaces([hs], [6.0, 8.0])
         assert got == pytest.approx([1.2, 1.6], abs=1e-12)
 
     def test_minimizer_property(self, rng):
         hs = HalfSpace([3.0, 4.0], 10.0)
         w = np.array([6.0, 8.0])
-        q = project_halfspace(hs, w)
+        q = project_onto_halfspaces([hs], w)
         for _ in range(200):
             y = rng.standard_normal(2) * 5.0
             if hs.contains(y, tol=0.0):
@@ -126,17 +127,17 @@ class TestProjectHalfspace:
 
     def test_empty_halfspace_rejected(self):
         with pytest.raises(EmptyIntersectionError):
-            project_halfspace(HalfSpace([0.0, 0.0], -1.0), [1.0, 1.0])
+            project_onto_halfspaces([HalfSpace([0.0, 0.0], -1.0)], [1.0, 1.0])
 
     def test_tiny_normal(self):
         # ||normal||^2 underflows to 0 for entries below about 1e-154
         hs = HalfSpace(np.full(2, 2.17e-204), 0.0)
-        assert project_halfspace(hs, [0.0, 1.0]) == pytest.approx([-0.5, 0.5])
+        assert project_onto_halfspaces([hs], [0.0, 1.0]) == pytest.approx([-0.5, 0.5])
         rows = HalfSpace(np.full((3, 2), 2.17e-204), np.zeros(3))
-        got = project_halfspace(rows, [0.0, 1.0])
+        got = project_onto_halfspaces([rows], [0.0, 1.0])
         assert got.shape == (3, 2)
         assert np.allclose(got, [-0.5, 0.5], rtol=0.0, atol=1e-15)
-        got = project_halfspace(HalfSpace([1e-300, 0.0], 0.0), [1.0, 1.0])
+        got = project_onto_halfspaces([HalfSpace([1e-300, 0.0], 0.0)], [1.0, 1.0])
         assert np.all(np.isfinite(got))
         assert got == pytest.approx([0.0, 1.0])
 

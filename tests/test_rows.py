@@ -29,7 +29,6 @@ from mflow import (
     halfspace_of,
     haugazeau_projection,
     kt_operator,
-    project_halfspace,
     project_onto_halfspaces,
 )
 from mflow.geometry import haugazeau_rows
@@ -266,7 +265,9 @@ def test_halfspace_rows(data):
         assert_rows_equal(rows.offset, [h.offset for h in singles])
         assert_rows_equal(rows.violation(w), [h.violation(w) for h in singles])
         assert_rows_equal(rows.violation(c), [h.violation(x) for h, x in zip(singles, c)])
-        assert_rows_equal(project_halfspace(rows, w), [project_halfspace(h, w) for h in singles])
+        assert_rows_equal(
+            project_onto_halfspaces([rows], w), [project_onto_halfspaces([h], w) for h in singles]
+        )
 
     cuts = [halfspace_of(w, b), halfspace_of(b, c)]
     assert_same_outcome(
