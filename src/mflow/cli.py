@@ -8,6 +8,7 @@ Verbosity comes from the ``MFLOW_LOG`` environment variable
 """
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -297,14 +298,19 @@ def cmd_project(args):
             f"points must have equal dimension, got {w.shape[0]}, {b.shape[0]}, "
             f"{c.shape[0]}"
         )
-    # an overflowing Gram entry is recomputed from rescaled differences
-    with np.errstate(over="ignore"):
+    # an overflowing Gram entry is recomputed from rescaled differences; an
+    # overflowing difference gives a non-finite point, reported as a breakdown
+    with np.errstate(over="ignore", invalid="ignore"):
         point, case = haugazeau_projection(w, b, c, return_case=True)
+    if not np.all(np.isfinite(point)):
+        raise dynamics.NonFiniteError(f"the projection is not finite (case {case})")
     print(json.dumps({"projection": point.tolist(), "case": case}))
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The ``mflow`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="mflow",
         description="Best-approximation projection dynamics for coupled "

@@ -83,21 +83,17 @@ def sample_cap(cap, n_samples=512, seed=0):
 
     A uniformly shifted R_d sequence (:func:`_rd_batches`; shift drawn from ``seed``,
     Cranley & Patterson 1976) fills the bounding box of the cap's ball.  Each candidate that
-    can lie in the ball is kept if it passes :func:`cap_membership`, until ``n_samples``
-    survive; the vectorized ball screen changes no result, only the number of exact tests.
+    the screens of :func:`_screened` let through is kept if it passes :func:`cap_membership`,
+    until ``n_samples`` survive; the screens change no result, only the number of exact tests.
     """
     integral = isinstance(n_samples, numbers.Integral) and not isinstance(n_samples, bool)
     if not (integral and n_samples > 0):
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
-    slack = _ball_screen_slack(cap.dim, cap.radius, float(np.linalg.norm(cap.center)))
     shift = np.random.default_rng(seed).random(cap.dim)
+    units = (2.0 * batch - 1.0 for batch in _rd_batches(shift, max(n_samples, 64)))
     kept = []
-    for batch in _rd_batches(shift, max(n_samples, 64)):
-        unit = 2.0 * batch - 1.0
-        # only rows that can pass the ball test are mapped and tested exactly;
-        # each mapped row equals that row of center + radius * unit
-        near = unit[np.vecdot(unit, unit) <= 1.0 + slack]
-        for x in cap.center + cap.radius * near:
+    for candidates in _screened(cap, units):
+        for x in candidates:
             if cap_membership(cap, x) == INSIDE_DHAT:
                 kept.append(x)
                 if len(kept) == n_samples:
@@ -122,20 +118,36 @@ def _rd_batches(shift, size):
         yield (shift + np.arange(b * size + 1, (b + 1) * size + 1)[:, None] * alpha) % 1.0
 
 
-def _ball_screen_slack(dim, radius, center_norm):
-    """Allowance on ``||u||^2 <= 1`` that keeps every ``center + radius * u`` in the ball.
+def _screened(cap, units):
+    """Map each batch of unit-box rows ``u`` to ``x = center + radius * u`` and screen it.
 
-    The exact ball test ``<z - x, w - x> <= GEOM_TOL`` is ``radius^2
-    (||u||^2 - 1) <= GEOM_TOL`` in exact arithmetic; the slack covers that
-    tolerance and the rounding of both forms, so the screen drops only
-    points that :func:`cap_membership` would reject.
+    Two vectorized, reject-only screens drop rows that :func:`cap_membership`
+    would reject, and every row kept equals that row of ``center + radius * u``
+    bit for bit, so the screens change only the number of exact tests:
+
+    * the ball: the exact test ``<z - x, w - x> <= GEOM_TOL`` is ``radius^2
+      (||u||^2 - 1) <= GEOM_TOL`` in exact arithmetic; the slack on
+      ``||u||^2 <= 1`` covers that tolerance and the rounding of both forms;
+    * the floor: the exact test rejects ``np.add.reduce(d * d) < r - GEOM_TOL``
+      for the same row ``d = w - x``.  Any two sums of ``dim`` squares, the row
+      ``vecdot`` here among them, differ by at most ``dim eps`` of their value
+      plus ``dim`` subnormal units; the screen allows four times that.  NaN
+      and infinite rows are kept for the exact test.
     """
-    radius = np.float64(radius)
-    eps = np.finfo(float).eps
+    center, radius, dim = cap.center, np.float64(cap.radius), cap.dim
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    center_norm = float(np.linalg.norm(center))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         slack = 1e-6 + GEOM_TOL / radius**2 + 64.0 * dim * eps * (1.0 + center_norm / radius)
     # a NaN slack (an overflowing radius) would screen out every point
-    return np.inf if np.isnan(slack) else slack
+    ball = np.inf if np.isnan(slack) else 1.0 + slack
+    floor = (cap.r - GEOM_TOL) * (1.0 - 4.0 * dim * eps) - 4.0 * dim * tiny
+    for unit in units:
+        x = center + radius * unit[np.vecdot(unit, unit) <= ball]
+        with np.errstate(over="ignore"):
+            d = cap.w - x
+            keep = ~(np.vecdot(d, d) < floor)
+        yield x[keep]
 
 
 def _field_values(F, x):

@@ -318,7 +318,7 @@ def cap_membership(cap, x):
     the ball test holds, and :data:`OUTSIDE` otherwise.
     """
     to_w = cap.w - x
-    if float((cap.z - x) @ to_w) > GEOM_TOL:
+    if float((cap.z - x).dot(to_w)) > GEOM_TOL:
         return OUTSIDE
     # add.reduce is np.sum without its dispatch; (w - x)^2 equals (x - w)^2 exactly
     if float(np.add.reduce(to_w * to_w)) < cap.r - GEOM_TOL:

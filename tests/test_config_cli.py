@@ -145,6 +145,23 @@ def test_seed_is_an_option_of_check_only(capsys):
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_check_calls_share_no_parsed_state(tmp_path, capsys):
+    def check(name, *flags):
+        out = tmp_path / name
+        code = main(["check", "--instance", "quadratic3x2", "--out", str(out), *flags])
+        return code, capsys.readouterr().out, (out / "quadratic3x2_checks.json").read_bytes()
+
+    reference = check("reference", "--samples", "512", "--seed", "0")
+    other = check("other", "--samples", "32", "--seed", "3", "--tol", "1e-9")
+    defaults = check("defaults")
+    assert other != reference
+    assert defaults == reference
+
+
 # One step overflows: L maps the resolvent of A, of size 1e308, beyond the
 # largest double.
 OVERFLOW_DOC = {
@@ -320,6 +337,14 @@ class TestProjectCommand:
     def test_malformed_point(self, capsys):
         code = main(["project", "[0,0]", "oops", "[1,1]"])
         assert code == 1
+
+    def test_overflowing_difference_is_a_breakdown(self, capsys):
+        # w - b overflows, so Q is not finite
+        code = main(["project", "[1e308, 0]", "[-1e308, 0]", "[0, 0]"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("breakdown:"), lines
 
     def test_overflowing_gram_entry_prints_only_the_result(self, capsys):
         # ||w - b||^2 overflows; Q recomputes it from differences scaled by a power of two

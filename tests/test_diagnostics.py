@@ -23,7 +23,8 @@ from mflow import (
     sample_cap,
     solve,
 )
-from mflow.diagnostics import _rd_batches
+from mflow import diagnostics
+from mflow.diagnostics import _rd_batches, _screened
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +116,12 @@ def _screen_cases():
     cases.append((_cap_around(rng, 3, 1.0, 1e14, 0.2), 2048))
     # radius^2 below GEOM_TOL: every point of the bounding box passes the ball test
     cases.append((_cap_around(rng, 2, 1e-6, 1.0, 0.3), 64))
+    # floors that leave a thin shell next to z, where the floor screen drops most
+    # candidates; centers 1e12 radii away put x on a grid of about 1e-4 radii
+    for fraction in (0.9, 0.99):
+        for radius in (1e-6, 1e3):
+            for center_norm in (radius, 1e12 * radius):
+                cases.append((_cap_around(rng, 2, radius, center_norm, fraction), 64))
     # a floor that leaves only a sliver next to z: sampling stalls
     cases.append((_cap_around(rng, 2, 1.0, 0.5, 1.0 - 1e-8), 64))
     return cases
@@ -135,6 +142,63 @@ class TestBallScreen:
     def test_stalling_case_stalls(self):
         cap, n_samples = _screen_cases()[-1]
         assert _unscreened_sample_cap(cap, n_samples, 0) is None
+
+
+class TestFloorScreen:
+    @pytest.mark.parametrize("fraction", [0.9, 0.99])
+    # radius^2 above GEOM_TOL, so that the floor r - GEOM_TOL is positive
+    @pytest.mark.parametrize("radius", [1e-3, 1e3])
+    def test_keeps_every_row_the_exact_test_accepts(self, fraction, radius, rng):
+        cap = _cap_around(rng, 3, radius, radius, fraction)
+        # rows a few ulps either side of the floor sphere, and rows well inside it
+        near = _near_radius(rng, cap.w, np.sqrt(cap.r - GEOM_TOL), 2000)
+        deep = _near_radius(rng, cap.w, 0.5 * np.sqrt(cap.r), 100)
+        unit = (np.vstack([near, deep]) - cap.center) / cap.radius
+        rows = cap.center + cap.radius * unit
+        kept = {row.tobytes() for row in next(_screened(cap, [unit]))}
+        labels = [cap_membership(cap, x) for x in rows]
+        accepted = {x.tobytes() for x, label in zip(rows, labels) if label == INSIDE_DHAT}
+        assert accepted <= kept
+        # both sides of the floor are drawn, and the screen drops rows inside it
+        assert accepted and INSIDE_D_ONLY in labels
+        assert not any(x.tobytes() in kept for x in rows[len(near):])
+
+    def test_floor_at_a_row_whose_vecdot_rounds_low(self, rng):
+        # put the floor r - GEOM_TOL exactly at one row's exact-test sum, on the row
+        # whose vecdot falls furthest below that sum: the exact test accepts it
+        w, z = np.array([0.3, -1.2, 2.0]), np.array([-1.7, 0.4, -0.9])
+        probe = Cap(w, z, 1.0)
+        unit = rng.uniform(-0.5, 0.5, (4000, 3))
+        d = w - (probe.center + probe.radius * unit)
+        exact = np.array([np.add.reduce(row * row) for row in d])
+        i = int(np.argmin(np.vecdot(d, d) - exact))
+        r = exact[i] + GEOM_TOL
+        r = next(s for s in r + np.arange(-8, 9) * np.spacing(r) if s - GEOM_TOL == exact[i])
+        cap = Cap(w, z, r)
+        (kept,) = _screened(cap, [unit[i : i + 1]])
+        assert cap_membership(cap, kept[0]) == INSIDE_DHAT
+
+    def test_non_finite_rows_are_kept(self):
+        # ||w - z|| overflows, so every mapped row holds an infinity or a NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            cap = Cap([1e200, 0.0], [-1e200, 0.0], 1e300)
+            unit = np.array([[-0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
+            kept = next(_screened(cap, [unit]))
+        assert len(kept) == 3 and not np.isfinite(kept).all(axis=1).any()
+
+    @pytest.mark.parametrize("seed", [0, 104729])
+    @pytest.mark.parametrize("tag", ["quadratic3x2", "lasso3x2", "box-flow"])
+    def test_one_exact_test_per_accepted_sample(self, tag, seed, monkeypatch):
+        labels = []
+
+        def counted(cap, x):
+            labels.append(cap_membership(cap, x))
+            return labels[-1]
+
+        monkeypatch.setattr(diagnostics, "cap_membership", counted)
+        samples = sample_cap(get_instance(tag).cap, n_samples=512, seed=seed)
+        assert len(samples) == len(labels) == 512
+        assert set(labels) == {INSIDE_DHAT}
 
 
 def _old_membership(cap, x):

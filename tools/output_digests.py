@@ -26,7 +26,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 SPLITTING = ("quadratic1d", "quadratic3x2", "lasso1d", "lasso3x2")
 FIELDS = ("lens-drift", "box-flow")
-CHECK_SEEDS = (0, 1, 7)
+CHECK_SEEDS = (0, 1, 7, 104729)
 TOKEN = b"<out>"
 WIDE_SOLVE = """
 import hashlib
