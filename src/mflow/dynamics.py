@@ -42,6 +42,10 @@ __all__ = [
     "integrate_field",
 ]
 
+# rows per block of the record columns hold at most this many floats, so their
+# temporaries stay near 256 KiB however long or wide the run
+_RECORD_BLOCK = 2**15
+
 
 class NonFiniteError(RuntimeError, ValueError):
     """A non-finite iterate or field value; the checks raise it as a ValueError."""
@@ -285,24 +289,31 @@ def _trajectory(points, residual, termination, w, z, mode, lam, label):
     by time.  ``norm_to_w`` is NaN without an anchor ``w``, and
     ``fejer_slack`` is NaN unless both ``w`` and ``z`` are given.
     """
-    points = np.array(points, dtype=float)
+    points = np.asarray(points, dtype=float)
     for name, v in (("w", w), ("z", z)):
         if v is not None and v.shape != points.shape[1:]:
             raise ValueError(f"{name} has shape {v.shape}, not that of the iterates")
-    if w is None:
-        dist_w_sq = np.full(points.shape[0], np.nan)
-    else:
-        dist_w_sq = np.sum((points - w) ** 2, axis=1)
-    if w is None or z is None:
-        slack = np.full(points.shape[0], np.nan)
-    else:
-        slack = np.sum((w - z) ** 2) - dist_w_sq - np.sum((points - z) ** 2, axis=1)
-    step_norm = np.zeros(points.shape[0])
-    step_norm[1:] = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    count = points.shape[0]
+    norm_to_w = np.full(count, np.nan)
+    slack = np.full(count, np.nan)
+    step_norm = np.zeros(count)
+    wz_sq = None if w is None or z is None else np.sum((w - z) ** 2)
+    # each column entry depends on its own row (and the one before), so
+    # blocks of rows give the same bits with temporaries of one block only
+    rows = max(1, _RECORD_BLOCK // points.shape[1])
+    for lo in range(0, count, rows):
+        block = slice(lo, lo + rows)
+        if w is not None:
+            dist_w_sq = np.sum((points[block] - w) ** 2, axis=1)
+            norm_to_w[block] = np.sqrt(dist_w_sq)
+            if z is not None:
+                slack[block] = wz_sq - dist_w_sq - np.sum((points[block] - z) ** 2, axis=1)
+        steps = np.diff(points[max(lo - 1, 0) : lo + rows], axis=0)
+        step_norm[max(lo, 1) : lo + rows] = np.linalg.norm(steps, axis=1)
     return Trajectory(
-        index=np.arange(points.shape[0]) * (1.0 if mode == "discrete" else lam),
+        index=np.arange(count) * (1.0 if mode == "discrete" else lam),
         points=points,
-        norm_to_w=np.sqrt(dist_w_sq),
+        norm_to_w=norm_to_w,
         fejer_slack=slack,
         residual=np.array(residual, dtype=float),
         step_norm=step_norm,

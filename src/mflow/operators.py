@@ -30,8 +30,18 @@ __all__ = [
 
 
 def _as_matrix(matrix):
-    """Coerce ``matrix`` to a 2-D float64 array, rejecting NaN/Inf entries."""
-    M = np.array(matrix, dtype=float)
+    """A read-only 2-D float64 array of ``matrix``, rejecting NaN/Inf entries.
+
+    An aligned, C- or F-contiguous float64 array is viewed, not copied; other
+    input is copied as ``np.array(matrix, dtype=float)`` lays it out, so a
+    product dispatches to the same BLAS routine either way.
+    """
+    flags = matrix.flags if isinstance(matrix, np.ndarray) else None
+    if flags is not None and matrix.dtype == np.float64 and flags.aligned and flags.forc:
+        M = matrix.view(np.ndarray)
+    else:
+        M = np.array(matrix, dtype=float)
+    M.setflags(write=False)
     if M.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -191,7 +201,9 @@ class Zero(MonotoneOperator):
 class LinearMonotone(MonotoneOperator):
     """Linear operator ``x -> M x`` with positive semidefinite symmetric part.
 
-    The resolvent solves the dense system ``(I + gamma M) y = x``.
+    The resolvent solves the dense system ``(I + gamma M) y = x``.  Like
+    :class:`LinearMap`, it keeps a read-only view of a float64 contiguous
+    ``matrix`` rather than a copy.
     """
 
     def __init__(self, matrix):
@@ -202,7 +214,6 @@ class LinearMonotone(MonotoneOperator):
         lam_min = float(np.linalg.eigvalsh(sym).min())
         if lam_min < -1e-10 * max(1.0, float(np.abs(M).max())):
             raise ValueError(f"matrix is not monotone (symmetric part eigmin {lam_min:.3e})")
-        M.setflags(write=False)
         self.matrix = M
         self.dim = M.shape[0]
 
@@ -218,13 +229,17 @@ class LinearMonotone(MonotoneOperator):
 
 
 class LinearMap:
-    """Dense linear map with its adjoint (the transpose)."""
+    """Dense linear map with its adjoint (the transpose).
+
+    A float64 C- or F-contiguous ``matrix`` is not copied: the map keeps a
+    read-only view of it, so the caller must not write to that array
+    afterwards (the array's own flags are left as they were).  Any other
+    input is copied to float64.
+    """
 
     def __init__(self, matrix):
-        M = _as_matrix(matrix)
-        M.setflags(write=False)
-        self.matrix = M
-        self._transpose = M.T
+        self.matrix = _as_matrix(matrix)
+        self._transpose = self.matrix.T
 
     @property
     def shape(self):

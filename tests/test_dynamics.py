@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mflow import (
     integrate_field,
     kt_residual,
     OUTSIDE,
+    quadratic_instance,
     solve,
 )
 
@@ -485,3 +487,75 @@ class TestValidationCost:
             assert traj.iterations == n
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+def _wide_coupling():
+    """A seeded float64 ``L`` of shape (200, 1000); its runs have 27 rows per record block."""
+    rng = np.random.default_rng(16)
+    return rng.standard_normal((200, 1000)) / np.sqrt(1000), rng
+
+
+def _wide_instance():
+    L, rng = _wide_coupling()
+    return quadratic_instance(rng.standard_normal(1000), rng.standard_normal(200), L)
+
+
+def _wide_run(named):
+    """300 steps of the discrete scheme on ``named``, with the Fejer column."""
+    return solve(named.instance, max_iter=300, tol_residual=1e-300, tol_step=1e-300, z=named.z)
+
+
+def _peak_bytes(fn):
+    """``fn()`` and the peak of the memory it allocated, as tracemalloc sees it."""
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryCost:
+    """The solve path holds each large array once (numpy reports to tracemalloc)."""
+
+    def test_instance_does_not_copy_coupling(self):
+        L, rng = _wide_coupling()
+        p0, q0 = rng.standard_normal(1000), rng.standard_normal(200)
+        named, peak = _peak_bytes(lambda: quadratic_instance(p0, q0, L))
+        assert peak < 0.5 * L.nbytes
+        assert np.shares_memory(named.instance.L.matrix, L)
+
+    def test_solve_records_cost_about_one_copy_of_iterates(self):
+        named = _wide_instance()
+        traj, peak = _peak_bytes(lambda: _wide_run(named))
+        assert traj.iterations == 300
+        assert peak < 2.5 * traj.points.nbytes
+
+
+class TestBlockedRecords:
+    """Record columns built over row blocks equal the full-array expressions, bit for bit."""
+
+    @staticmethod
+    def full_step_norm(P):
+        steps = np.zeros(P.shape[0])
+        steps[1:] = np.linalg.norm(np.diff(P, axis=0), axis=1)
+        return steps
+
+    def test_solve_spanning_several_blocks(self):
+        named = _wide_instance()
+        w, z = named.instance.w.flat, named.z
+        traj = _wide_run(named)
+        P = traj.points
+        d2 = np.sum((P - w) ** 2, axis=1)
+        assert traj.norm_to_w.tobytes() == np.sqrt(d2).tobytes()
+        slack = np.sum((w - z) ** 2) - d2 - np.sum((P - z) ** 2, axis=1)
+        assert traj.fejer_slack.tobytes() == slack.tobytes()
+        assert traj.step_norm.tobytes() == self.full_step_norm(P).tobytes()
+
+    def test_integrate_field_without_cap(self):
+        named = _wide_instance()
+        F = build_field(named.instance)
+        traj = integrate_field(F, named.instance.x0.flat, 0.5, 40.0)
+        assert traj.iterations == 80
+        assert np.isnan(traj.norm_to_w).all() and np.isnan(traj.fejer_slack).all()
+        assert traj.step_norm.tobytes() == self.full_step_norm(traj.points).tobytes()

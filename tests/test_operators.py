@@ -185,3 +185,75 @@ def test_operator_config_round_trip():
         operator_from_config({"tag": "nope"})
     with pytest.raises(ValueError):
         operator_from_config({"tag": "l1", "bogus": 1})
+
+
+# symmetric and diagonally dominant, so positive definite; integer entries
+# make the int conversion exact
+SQUARE = [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]
+
+
+def _strided(matrix):
+    """A view of ``matrix`` with every other column of a wider array."""
+    wide = np.zeros((len(matrix), 2 * len(matrix[0])))
+    wide[:, ::2] = matrix
+    return wide[:, ::2]
+
+
+def _unaligned(matrix):
+    """A C-contiguous float64 copy of ``matrix`` that starts one byte into its buffer."""
+    A = np.array(matrix, dtype=float)
+    buf = np.zeros(A.nbytes + 1, dtype=np.uint8)
+    M = buf[1:].view(np.float64).reshape(A.shape)
+    M[...] = A
+    return M
+
+
+@pytest.mark.parametrize("cls", [LinearMap, LinearMonotone])
+class TestMatrixStorage:
+    """A float64 contiguous matrix is kept as a read-only view; other input is copied."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_contiguous_float64_is_viewed(self, cls, order):
+        A = np.array(SQUARE, order=order)
+        M = cls(A).matrix
+        assert np.shares_memory(M, A)
+        assert M.strides == A.strides
+        assert not M.flags.writeable
+        assert A.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda A: A,
+            lambda A: np.array(A, dtype=int),
+            lambda A: np.array(A, dtype=int, order="F"),
+            lambda A: np.array(A, dtype=">f8"),
+            _strided,
+            _unaligned,
+        ],
+        ids=["list", "int", "int-F", "big-endian", "strided", "unaligned"],
+    )
+    def test_other_input_is_copied_as_np_array_lays_it_out(self, cls, convert):
+        x = convert(SQUARE)
+        M = cls(x).matrix
+        expected = np.array(x, dtype=float)
+        assert not np.shares_memory(M, x)
+        assert M.dtype == np.float64
+        assert M.strides == expected.strides
+        assert M.flags.aligned and not M.flags.writeable
+        assert np.array_equal(M, SQUARE)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_array_is_rejected(self, cls, order, bad):
+        A = np.array(SQUARE, order=order)
+        A[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cls(A)
+        assert A.flags.writeable
+
+    def test_non_matrix_is_rejected(self, cls):
+        with pytest.raises(ValueError, match="expected a matrix"):
+            cls(np.ones(3))

@@ -7,7 +7,8 @@ script belongs to); its ``src/`` and ``demos/`` are used.  Beside the
 commands and demos, one seeded wide quadratic solve (n = 1000, m = 500, a
 fixed iteration count) prints the SHA-256 of its records, so that the
 matvec path is also covered at a size where BLAS, not Python, does the
-work.  Every command runs
+work; it runs with ``L`` C-ordered, F-ordered and as a strided view, the
+layouts that ``LinearMap`` wraps or copies.  Every command runs
 in a fresh interpreter with one BLAS thread, writing into its own temporary
 directory.  For each command the script hashes its exit code, stdout and
 stderr, and then every file it wrote; each output's path is replaced by a
@@ -30,11 +31,18 @@ CHECK_SEEDS = (0, 1, 7, 104729)
 TOKEN = b"<out>"
 WIDE_SOLVE = """
 import hashlib
+import sys
 import numpy as np
 import mflow
 
 rng = np.random.default_rng(0)
 L = rng.standard_normal((500, 1000)) / np.sqrt(1000)
+if sys.argv[1:] == ["F"]:
+    L = np.asfortranarray(L)
+elif sys.argv[1:] == ["strided"]:
+    every_other = np.zeros((500, 2000))
+    every_other[:, ::2] = L
+    L = every_other[:, ::2]
 named = mflow.quadratic_instance(rng.standard_normal(1000), rng.standard_normal(500), L)
 run = mflow.solve(named.instance, max_iter=300, tol_residual=1e-300, tol_step=1e-300, z=named.z)
 records = (run.points, run.norm_to_w, run.fejer_slack, run.residual, run.step_norm)
@@ -98,6 +106,9 @@ def main(argv=None):
         for label, args in commands()
     ]
     jobs.append(("solve wide n=1000 m=500 seed 0", [sys.executable, "-c", WIDE_SOLVE]))
+    for layout in ("F", "strided"):
+        label = f"solve wide n=1000 m=500 seed 0 {layout} L"
+        jobs.append((label, [sys.executable, "-c", WIDE_SOLVE, layout]))
     jobs += [
         (f"demo {demo.stem}", [sys.executable, str(demo)])
         for demo in sorted((root / "demos").glob("*.py"))
