@@ -11,7 +11,6 @@ from .diagnostics import (
     check_cap_invariance,
     check_outward_drift,
     check_projection_conditions,
-    check_strict_drift,
     check_unique_zero,
     convergence_report,
     sample_cap,
@@ -20,7 +19,6 @@ from .dynamics import (
     NonFiniteError,
     Trajectory,
     VectorField,
-    best_approx_iterate,
     build_field,
     euler_defect,
     euler_eval,
@@ -52,7 +50,6 @@ from .operators import (
     Quadratic,
     Zero,
     operator_from_config,
-    operator_library,
 )
 from .problems import (
     NamedInstance,
@@ -95,14 +92,12 @@ __all__ = [
     "VectorField",
     "Zero",
     "as_vector",
-    "best_approx_iterate",
     "build_field",
     "builtin_tags",
     "cap_membership",
     "check_cap_invariance",
     "check_outward_drift",
     "check_projection_conditions",
-    "check_strict_drift",
     "check_unique_zero",
     "convergence_report",
     "euler_defect",
@@ -118,7 +113,6 @@ __all__ = [
     "kt_residual",
     "lasso_instance",
     "operator_from_config",
-    "operator_library",
     "project_onto_halfspaces",
     "quadratic_instance",
     "sample_cap",

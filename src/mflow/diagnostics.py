@@ -26,7 +26,6 @@ __all__ = [
     "check_unique_zero",
     "check_cap_invariance",
     "check_outward_drift",
-    "check_strict_drift",
     "check_projection_conditions",
     "convergence_report",
 ]
@@ -35,8 +34,6 @@ __all__ = [
 SAMPLE_MAX_BATCHES = 64
 # Step fractions h at which check_cap_invariance tests the segment x + h F(x).
 INVARIANCE_STEPS = (0.25, 0.5, 0.75, 1.0)
-# check_strict_drift skips trajectory points this close to the solution.
-STRICT_DRIFT_EXCLUSION = 1e-8
 # Tolerance and rounding allowance of convergence_report's tail-containment test.
 TAIL_EPSILON = 1e-4
 TAIL_SLACK = 1e-9
@@ -83,17 +80,18 @@ def sample_cap(cap, n_samples=512, seed=0):
 
     A uniformly shifted R_d sequence (:func:`_rd_batches`; shift drawn from ``seed``,
     Cranley & Patterson 1976) fills the bounding box of the cap's ball.  Each candidate that
-    the screens of :func:`_screened` let through is kept if it passes :func:`cap_membership`,
-    until ``n_samples`` survive; the screens change no result, only the number of exact tests.
+    passes :func:`_in_cap_rows` is kept if it also passes :func:`cap_membership`, until
+    ``n_samples`` survive.
     """
     integral = isinstance(n_samples, numbers.Integral) and not isinstance(n_samples, bool)
     if not (integral and n_samples > 0):
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
     shift = np.random.default_rng(seed).random(cap.dim)
-    units = (2.0 * batch - 1.0 for batch in _rd_batches(shift, max(n_samples, 64)))
+    center, radius = cap.center, cap.radius
     kept = []
-    for candidates in _screened(cap, units):
-        for x in candidates:
+    for batch in _rd_batches(shift, max(n_samples, 64)):
+        candidates = center + radius * (2.0 * batch - 1.0)
+        for x in candidates[_in_cap_rows(cap, candidates)]:
             if cap_membership(cap, x) == INSIDE_DHAT:
                 kept.append(x)
                 if len(kept) == n_samples:
@@ -118,36 +116,18 @@ def _rd_batches(shift, size):
         yield (shift + np.arange(b * size + 1, (b + 1) * size + 1)[:, None] * alpha) % 1.0
 
 
-def _screened(cap, units):
-    """Map each batch of unit-box rows ``u`` to ``x = center + radius * u`` and screen it.
+def _in_cap_rows(cap, x):
+    """Mask of the rows of ``x`` that pass :func:`cap_membership`'s two tests.
 
-    Two vectorized, reject-only screens drop rows that :func:`cap_membership`
-    would reject, and every row kept equals that row of ``center + radius * u``
-    bit for bit, so the screens change only the number of exact tests:
-
-    * the ball: the exact test ``<z - x, w - x> <= GEOM_TOL`` is ``radius^2
-      (||u||^2 - 1) <= GEOM_TOL`` in exact arithmetic; the slack on
-      ``||u||^2 <= 1`` covers that tolerance and the rounding of both forms;
-    * the floor: the exact test rejects ``np.add.reduce(d * d) < r - GEOM_TOL``
-      for the same row ``d = w - x``.  Any two sums of ``dim`` squares, the row
-      ``vecdot`` here among them, differ by at most ``dim eps`` of their value
-      plus ``dim`` subnormal units; the screen allows four times that.  NaN
-      and infinite rows are kept for the exact test.
+    The tests are its own expressions evaluated on rows, so NaN rows pass as
+    they do there.
     """
-    center, radius, dim = cap.center, np.float64(cap.radius), cap.dim
-    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
-    center_norm = float(np.linalg.norm(center))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        slack = 1e-6 + GEOM_TOL / radius**2 + 64.0 * dim * eps * (1.0 + center_norm / radius)
-    # a NaN slack (an overflowing radius) would screen out every point
-    ball = np.inf if np.isnan(slack) else 1.0 + slack
-    floor = (cap.r - GEOM_TOL) * (1.0 - 4.0 * dim * eps) - 4.0 * dim * tiny
-    for unit in units:
-        x = center + radius * unit[np.vecdot(unit, unit) <= ball]
-        with np.errstate(over="ignore"):
-            d = cap.w - x
-            keep = ~(np.vecdot(d, d) < floor)
-        yield x[keep]
+    with np.errstate(over="ignore", invalid="ignore"):
+        to_w = cap.w - x
+        outside = np.vecdot(cap.z - x, to_w) > GEOM_TOL
+        # add.reduce, as in cap_membership: a row vecdot of to_w rounds differently
+        below_floor = np.add.reduce(to_w * to_w, axis=1) < cap.r - GEOM_TOL
+    return ~(outside | below_floor)
 
 
 def _field_values(F, x):
@@ -277,24 +257,6 @@ def check_outward_drift(F, cap, samples, tol=GEOM_TOL):
     samples = np.asarray(samples, dtype=float)
     violation = np.vecdot(_field_values(F, samples), cap.w - samples)
     return _report("outward_drift", tol, len(samples), violation, samples, None)
-
-
-def check_strict_drift(F, points, w, z):
-    """Strict variant along a trajectory: ``<F(x), w - x> < 0`` away from ``z``.
-
-    ``points`` are trajectory records; those within
-    :data:`STRICT_DRIFT_EXCLUSION` of ``z`` are skipped (the inequality
-    necessarily degenerates there).
-    """
-    w = as_vector(w)
-    z = as_vector(z)
-    points = np.asarray(points, dtype=float)
-    kept = points[_norms(points - z) > STRICT_DRIFT_EXCLUSION]
-    violation = np.vecdot(_field_values(F, kept), w - kept)
-    report = _report("strict_drift", 0.0, len(kept), violation, kept, None)
-    # strictness: a zero value on a non-excluded point is already a failure
-    report.passed = report.passed and report.worst_violation < 0.0
-    return report
 
 
 def check_projection_conditions(T, cap, samples, tol=GEOM_TOL):

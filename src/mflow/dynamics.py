@@ -26,7 +26,7 @@ from .geometry import (
     haugazeau_projection,
     haugazeau_rows,
 )
-from .space import PDPoint, as_vector
+from .space import as_vector
 from .splitting import kt_apply_flat, kt_apply_rows
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "euler_eval",
     "euler_defect",
     "build_field",
-    "best_approx_iterate",
     "solve",
     "integrate_field",
 ]
@@ -269,19 +268,6 @@ def build_field(inst, cap=None):
     )
 
 
-def best_approx_iterate(inst, x):
-    """One step of the discrete scheme: ``Q(w, x, Tx)``.
-
-    ``x`` may be a PDPoint or a flat vector; the result matches the input
-    kind.  Off-cap starts are legal input here but make the scheme's
-    containment guarantees void.
-    """
-    step = build_field(inst).target
-    if isinstance(x, PDPoint):
-        return PDPoint.from_flat(step(x.flat), inst.dim_p)
-    return step(as_vector(x))
-
-
 def _trajectory(points, residual, termination, w, z, mode, lam, label):
     """Records of a run from its iterates, with the diagnostic columns added.
 
@@ -387,8 +373,12 @@ def solve(
         # lam = 1 takes Q itself, so euler(1) and discrete agree bit for bit
         return (q if step == 1.0 else x + step * (q - x)), resid
 
-    run = _iterate(advance, inst.x0.flat, max_iter, tol_residual, tol_step)
-    return _trajectory(*run, w_flat, z_flat, mode, lam, label)
+    points, residuals, termination = _iterate(
+        advance, inst.x0.flat, max_iter, tol_residual, tol_step
+    )
+    # stacked before the records are built, so the list of iterates is freed first
+    points = np.asarray(points)
+    return _trajectory(points, residuals, termination, w_flat, z_flat, mode, lam, label)
 
 
 def integrate_field(F, x0, lam, t_final, cap=None, z=None, label=""):

@@ -24,7 +24,6 @@ __all__ = [
     "Zero",
     "LinearMonotone",
     "LinearMap",
-    "operator_library",
     "operator_from_config",
 ]
 
@@ -259,16 +258,15 @@ class LinearMap:
         return np.matmul(self._transpose, y[..., None])[..., 0]
 
 
-def operator_library():
-    """Catalog of operator constructors keyed by config tag."""
-    return {
-        "quadratic": Quadratic,
-        "l1": L1,
-        "box": BoxNormalCone,
-        "ball": BallNormalCone,
-        "zero": Zero,
-        "linear_psd": LinearMonotone,
-    }
+# operator constructors keyed by config tag
+_TAGS = {
+    "quadratic": Quadratic,
+    "l1": L1,
+    "box": BoxNormalCone,
+    "ball": BallNormalCone,
+    "zero": Zero,
+    "linear_psd": LinearMonotone,
+}
 
 
 def operator_from_config(doc):
@@ -276,11 +274,10 @@ def operator_from_config(doc):
     if not isinstance(doc, dict) or "tag" not in doc:
         raise ValueError(f"operator config must be an object with a 'tag', got {doc!r}")
     params = {k: v for k, v in doc.items() if k != "tag"}
-    library = operator_library()
     tag = doc["tag"]
-    if tag not in library:
-        raise ValueError(f"unknown operator tag {tag!r}; known: {sorted(library)}")
+    if tag not in _TAGS:
+        raise ValueError(f"unknown operator tag {tag!r}; known: {sorted(_TAGS)}")
     try:
-        return library[tag](**params)
+        return _TAGS[tag](**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for operator {tag!r}: {exc}") from exc

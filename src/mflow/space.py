@@ -71,9 +71,6 @@ class PDPoint:
             raise ValueError(f"dim_p={dim_p} incompatible with flat dim {flat.size}")
         return cls(flat[:dim_p], flat[dim_p:])
 
-    def to_json_dict(self):
-        return {"p": self.p.tolist(), "v": self.v.tolist()}
-
     @classmethod
     def from_json_dict(cls, doc):
         return cls(doc["p"], doc["v"])

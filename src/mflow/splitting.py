@@ -175,11 +175,7 @@ def kt_apply_rows(inst, x_rows):
 
 def kt_residual(inst, x):
     """Fixed-point residual ``||Tx - x||``; zero exactly on the Kuhn-Tucker set."""
-    if isinstance(x, PDPoint):
-        x = x.flat
-    else:
-        x = as_vector(x)
-    _, resid = kt_apply_flat(inst, x)
+    _, resid = kt_apply_flat(inst, as_vector(x))
     return resid
 
 

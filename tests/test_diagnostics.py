@@ -15,7 +15,6 @@ from mflow import (
     check_cap_invariance,
     check_outward_drift,
     check_projection_conditions,
-    check_strict_drift,
     check_unique_zero,
     convergence_report,
     fixed_point_operator,
@@ -24,7 +23,7 @@ from mflow import (
     solve,
 )
 from mflow import diagnostics
-from mflow.diagnostics import _rd_batches, _screened
+from mflow.diagnostics import _in_cap_rows, _rd_batches
 
 
 @pytest.fixture(scope="module")
@@ -155,36 +154,69 @@ class TestFloorScreen:
         deep = _near_radius(rng, cap.w, 0.5 * np.sqrt(cap.r), 100)
         unit = (np.vstack([near, deep]) - cap.center) / cap.radius
         rows = cap.center + cap.radius * unit
-        kept = {row.tobytes() for row in next(_screened(cap, [unit]))}
+        kept = _in_cap_rows(cap, rows)
         labels = [cap_membership(cap, x) for x in rows]
-        accepted = {x.tobytes() for x, label in zip(rows, labels) if label == INSIDE_DHAT}
-        assert accepted <= kept
-        # both sides of the floor are drawn, and the screen drops rows inside it
-        assert accepted and INSIDE_D_ONLY in labels
-        assert not any(x.tobytes() in kept for x in rows[len(near):])
+        assert kept.tolist() == [label == INSIDE_DHAT for label in labels]
+        # both sides of the floor are drawn, and the row test drops rows inside it
+        assert kept.any() and INSIDE_D_ONLY in labels
+        assert not kept[len(near):].any()
+
+    def test_row_test_equals_cap_membership(self, rng):
+        # caps in dims 1-6, radii 1e-8 to 1e3, centers up to 1e12 radii away, and
+        # rows a few ulps either side of the ball's and the floor's boundary spheres
+        cases = []
+        for _ in range(300):
+            dim = int(rng.integers(1, 7))
+            radius = 10.0 ** rng.uniform(-8, 3)
+            center_norm = radius * 10.0 ** rng.uniform(-3, 12)
+            cap = _cap_around(rng, dim, radius, center_norm, rng.uniform(0.01, 0.99))
+            ball = _near_radius(rng, cap.center, np.sqrt(cap.radius**2 + GEOM_TOL), 100)
+            floor = _near_radius(rng, cap.w, np.sqrt(max(cap.r - GEOM_TOL, 0.0)), 100)
+            cases.append((cap, np.vstack([ball, floor])))
+        # ||w - z|| overflows, so every mapped row holds an infinity or a NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            cap = Cap([1e200, 0.0], [-1e200, 0.0], 1e300)
+            unit = np.array([[-0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
+            non_finite = (cap, cap.center + cap.radius * unit)
+        labels = set()
+        for i, (cap, rows) in enumerate(cases + [non_finite]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                arbiter = [cap_membership(cap, x) for x in rows]
+            labels.update(arbiter)
+            kept = _in_cap_rows(cap, rows)
+            assert kept.tolist() == [label == INSIDE_DHAT for label in arbiter], f"case {i}"
+        assert labels == {OUTSIDE, INSIDE_D_ONLY, INSIDE_DHAT}
+        # the NaN rows pass on to cap_membership, which accepts them
+        cap, rows = non_finite
+        assert not np.isfinite(rows).all(axis=1).any()
+        assert _in_cap_rows(cap, rows)[np.isnan(rows).any(axis=1)].all()
 
     def test_floor_at_a_row_whose_vecdot_rounds_low(self, rng):
         # put the floor r - GEOM_TOL exactly at one row's exact-test sum, on the row
         # whose vecdot falls furthest below that sum: the exact test accepts it
         w, z = np.array([0.3, -1.2, 2.0]), np.array([-1.7, 0.4, -0.9])
         probe = Cap(w, z, 1.0)
-        unit = rng.uniform(-0.5, 0.5, (4000, 3))
-        d = w - (probe.center + probe.radius * unit)
+        rows = probe.center + probe.radius * rng.uniform(-0.5, 0.5, (4000, 3))
+        d = w - rows
         exact = np.array([np.add.reduce(row * row) for row in d])
         i = int(np.argmin(np.vecdot(d, d) - exact))
         r = exact[i] + GEOM_TOL
         r = next(s for s in r + np.arange(-8, 9) * np.spacing(r) if s - GEOM_TOL == exact[i])
         cap = Cap(w, z, r)
-        (kept,) = _screened(cap, [unit[i : i + 1]])
-        assert cap_membership(cap, kept[0]) == INSIDE_DHAT
+        assert _in_cap_rows(cap, rows[i : i + 1]).tolist() == [True]
+        assert cap_membership(cap, rows[i]) == INSIDE_DHAT
 
     def test_non_finite_rows_are_kept(self):
         # ||w - z|| overflows, so every mapped row holds an infinity or a NaN
         with np.errstate(over="ignore", invalid="ignore"):
             cap = Cap([1e200, 0.0], [-1e200, 0.0], 1e300)
             unit = np.array([[-0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
-            kept = next(_screened(cap, [unit]))
-        assert len(kept) == 3 and not np.isfinite(kept).all(axis=1).any()
+            rows = cap.center + cap.radius * unit
+            labels = [cap_membership(cap, x) for x in rows]
+        assert not np.isfinite(rows).all(axis=1).any()
+        # the NaN rows are kept, and the all-infinite row goes as the exact test says
+        assert labels == [INSIDE_DHAT, INSIDE_DHAT, OUTSIDE]
+        assert _in_cap_rows(cap, rows).tolist() == [True, True, False]
 
     @pytest.mark.parametrize("seed", [0, 104729])
     @pytest.mark.parametrize("tag", ["quadratic3x2", "lasso3x2", "box-flow"])
@@ -246,9 +278,8 @@ class TestFieldCalls:
         check_unique_zero(F, lens.cap, lens.z, lens_samples)
         check_cap_invariance(F, lens.cap, lens_samples)
         check_outward_drift(F, lens.cap, lens_samples)
-        check_strict_drift(F, lens_samples, lens.cap.w, lens.z)
         n = len(lens_samples)
-        assert shapes == [(n + 1, 2), (n, 2), (n, 2), (n, 2)]
+        assert shapes == [(n + 1, 2), (n, 2), (n, 2)]
 
     @pytest.mark.parametrize(
         "fn, match",
@@ -338,14 +369,6 @@ class TestOutwardDrift:
         rep = check_outward_drift(F, named.cap, samples)
         assert rep.passed
 
-    def test_strict_variant_along_trajectory(self):
-        named = get_instance("lens-drift")
-        ref = named.references[0][1]
-        pts = np.array([ref(t) for t in np.linspace(0.0, 1.0, 101)])
-        rep = check_strict_drift(named.extended_field, pts, named.cap.w, named.z)
-        assert rep.passed
-        assert rep.worst_violation < -0.5  # x1^2 - 1 stays well below zero here
-
     def test_drift_sign_equals_halfspace_membership(self):
         # on built fields, a nonpositive drift inner product at x is the
         # same statement as the projection landing inside the first cut
@@ -359,15 +382,6 @@ class TestOutwardDrift:
             value = float(fx @ (named.cap.w - x))
             member = halfspace_of(named.cap.w, x).contains(x + fx, tol=1e-10)
             assert member == (value <= 1e-10)
-
-    def test_strict_variant_degenerates_on_cut_boundary(self):
-        # along discrete iterates both cuts are active, so the drift inner
-        # product sits at the boundary value zero (up to rounding)
-        named = get_instance("quadratic1d")
-        traj = solve(named.instance, max_iter=300, z=named.z)
-        F = build_field(named.instance, cap=named.cap)
-        rep = check_strict_drift(F, traj.points, named.cap.w, named.z)
-        assert abs(rep.worst_violation) <= 1e-10
 
 
 class TestProjectionConditions:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from mflow import (
     Quadratic,
     Zero,
     operator_from_config,
-    operator_library,
 )
 
 
@@ -175,13 +176,18 @@ def test_adjoint_identity(rng):
 
 
 def test_operator_config_round_trip():
-    tags = operator_library()
-    assert set(tags) == {"quadratic", "l1", "box", "ball", "zero", "linear_psd"}
-    op = operator_from_config({"tag": "quadratic", "b": [1.0, 2.0]})
-    assert isinstance(op, Quadratic)
-    op = operator_from_config({"tag": "box", "lower": [0.0], "upper": [1.0]})
-    assert isinstance(op, BoxNormalCone)
-    with pytest.raises(ValueError):
+    docs = [
+        ({"tag": "quadratic", "b": [1.0, 2.0]}, Quadratic),
+        ({"tag": "l1", "weight": 0.5}, L1),
+        ({"tag": "box", "lower": [0.0], "upper": [1.0]}, BoxNormalCone),
+        ({"tag": "ball", "center": [0.0, 0.0], "radius": 1.0}, BallNormalCone),
+        ({"tag": "zero"}, Zero),
+        ({"tag": "linear_psd", "matrix": [[2.0, 1.0], [1.0, 2.0]]}, LinearMonotone),
+    ]
+    for doc, cls in docs:
+        assert type(operator_from_config(doc)) is cls
+    known = "known: ['ball', 'box', 'l1', 'linear_psd', 'quadratic', 'zero']"
+    with pytest.raises(ValueError, match=re.escape(f"unknown operator tag 'nope'; {known}")):
         operator_from_config({"tag": "nope"})
     with pytest.raises(ValueError):
         operator_from_config({"tag": "l1", "bogus": 1})

@@ -8,7 +8,9 @@ commands and demos, one seeded wide quadratic solve (n = 1000, m = 500, a
 fixed iteration count) prints the SHA-256 of its records, so that the
 matvec path is also covered at a size where BLAS, not Python, does the
 work; it runs with ``L`` C-ordered, F-ordered and as a strided view, the
-layouts that ``LinearMap`` wraps or copies.  Every command runs
+layouts that ``LinearMap`` wraps or copies.  ``mflow check --samples 64`` also
+runs on a 1-D quadratic instance file whose data are scaled by 2^20 and by 2^-20,
+so that cap sampling is covered on a far and on a tiny cap.  Every command runs
 in a fresh interpreter with one BLAS thread, writing into its own temporary
 directory.  For each command the script hashes its exit code, stdout and
 stderr, and then every file it wrote; each output's path is replaced by a
@@ -48,6 +50,29 @@ run = mflow.solve(named.instance, max_iter=300, tol_residual=1e-300, tol_step=1e
 records = (run.points, run.norm_to_w, run.fejer_slack, run.residual, run.step_norm)
 print(run.termination, run.iterations)
 print(hashlib.sha256(b"".join(r.tobytes() for r in records)).hexdigest())
+"""
+
+SCALED_CHECK = """
+import json
+import runpy
+import sys
+
+s = 2.0 ** int(sys.argv[1])
+doc = {
+    "name": "custom1d",
+    "A": {"tag": "quadratic", "b": [0.0]},
+    "B": {"tag": "quadratic", "b": [s]},
+    "L": [[1.0]],
+    "gamma": 0.5,
+    "mu": 0.5,
+    "w": {"p": [0.0], "v": [0.0]},
+    "x0": {"p": [0.0], "v": [0.0]},
+    "z": [s / 2, -s / 2],
+}
+with open("instance.json", "w") as fh:
+    json.dump(doc, fh)
+sys.argv = ["mflow", "check", "--instance", "instance.json", "--samples", "64", "--out", "out"]
+runpy.run_module("mflow", run_name="__main__")
 """
 
 
@@ -109,6 +134,8 @@ def main(argv=None):
     for layout in ("F", "strided"):
         label = f"solve wide n=1000 m=500 seed 0 {layout} L"
         jobs.append((label, [sys.executable, "-c", WIDE_SOLVE, layout]))
+    for k in (20, -20):
+        jobs.append((f"check custom1d scaled 2^{k}", [sys.executable, "-c", SCALED_CHECK, str(k)]))
     jobs += [
         (f"demo {demo.stem}", [sys.executable, str(demo)])
         for demo in sorted((root / "demos").glob("*.py"))
