@@ -7,7 +7,7 @@ case analysis on small planar examples.
 
 import numpy as np
 
-from mflow import EmptyIntersectionError, halfspace_of, haugazeau_projection
+from mflow import EmptyIntersectionError, haugazeau_projection
 
 examples = [
     ("collinear cuts, second dominates", [0, 0], [1, 0], [2, 0]),
@@ -17,11 +17,13 @@ examples = [
 ]
 
 for label, w, b, c in examples:
+    w, b, c = (np.array(v, dtype=float) for v in (w, b, c))
     point, case = haugazeau_projection(w, b, c, return_case=True)
-    h1 = halfspace_of(w, b)
-    h2 = halfspace_of(b, c)
+    # H(z1, z2) = {x : <x, z1 - z2> <= <z2, z1 - z2>}; a feasible point has both values <= 0
+    cut1 = point @ (w - b) - b @ (w - b)
+    cut2 = point @ (b - c) - c @ (b - c)
     print(f"{label}: case ({case}) -> {np.round(point, 6)}")
-    print(f"   feasibility: cut1 {h1.violation(point):+.2e}, cut2 {h2.violation(point):+.2e}")
+    print(f"   feasibility: cut1 {cut1:+.2e}, cut2 {cut2:+.2e}")
 
 print()
 print("opposing collinear cuts have empty intersection:")

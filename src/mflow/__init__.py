@@ -30,13 +30,11 @@ from .geometry import (
     Cap,
     EmptyIntersectionError,
     GEOM_TOL,
-    HalfSpace,
     INSIDE_D_ONLY,
     INSIDE_DHAT,
     OUTSIDE,
     cap_membership,
     fejer_slack,
-    halfspace_of,
     haugazeau_projection,
     project_onto_halfspaces,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "Cap",
     "EmptyIntersectionError",
     "GEOM_TOL",
-    "HalfSpace",
     "INSIDE_DHAT",
     "INSIDE_D_ONLY",
     "L1",
@@ -106,7 +103,6 @@ __all__ = [
     "fejer_slack",
     "fixed_point_operator",
     "get_instance",
-    "halfspace_of",
     "haugazeau_projection",
     "integrate_field",
     "kt_operator",

@@ -119,12 +119,12 @@ def _rd_batches(shift, size):
 def _in_cap_rows(cap, x):
     """Mask of the rows of ``x`` that pass :func:`cap_membership`'s two tests.
 
-    The tests are its own expressions evaluated on rows, so NaN rows pass as
+    The tests are its own expressions evaluated on rows, so NaN rows fail as
     they do there.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         to_w = cap.w - x
-        outside = np.vecdot(cap.z - x, to_w) > GEOM_TOL
+        outside = ~(np.vecdot(cap.z - x, to_w) <= GEOM_TOL)
         # add.reduce, as in cap_membership: a row vecdot of to_w rounds differently
         below_floor = np.add.reduce(to_w * to_w, axis=1) < cap.r - GEOM_TOL
     return ~(outside | below_floor)

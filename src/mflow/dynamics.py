@@ -109,7 +109,7 @@ class Trajectory:
         }
 
     def write_csv(self, path):
-        """Write records as CSV with round-trip-safe float formatting."""
+        """Write records as CSV: ``np.savetxt``'s ``%.17g`` bytes, one ``%`` per block of rows."""
         dim = self.points.shape[1]
         header = (
             ["n_or_t"]
@@ -117,10 +117,14 @@ class Trajectory:
             + ["norm_to_w", "fejer_slack", "residual", "step_norm"]
         )
         diagnostics = [self.norm_to_w, self.fejer_slack, self.residual, self.step_norm]
-        cols = np.column_stack([self.index, self.points, *diagnostics])
+        columns = [self.index, self.points, *diagnostics]
+        line = ",".join(["%.17g"] * len(header)) + "\r\n"
+        rows = max(1, _RECORD_BLOCK // len(header))
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            np.savetxt(fh, cols, fmt="%.17g", delimiter=",", newline="\r\n")
+            for lo in range(0, len(self.index), rows):
+                block = np.column_stack([c[lo : lo + rows] for c in columns])
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _check_step(lam, n_steps=0):

@@ -15,8 +15,6 @@ from .space import as_vector
 __all__ = [
     "GEOM_TOL",
     "EmptyIntersectionError",
-    "HalfSpace",
-    "halfspace_of",
     "project_onto_halfspaces",
     "haugazeau_projection",
     "haugazeau_rows",
@@ -38,65 +36,6 @@ OUTSIDE = "outside"
 
 class EmptyIntersectionError(RuntimeError):
     """The two cuts have empty intersection: the iteration left the admissible region."""
-
-
-@dataclass(frozen=True, eq=False)
-class HalfSpace:
-    """The set ``{h : <h, normal> <= offset}``, or a stack of such sets.
-
-    A stack holds ``normal`` of shape ``(k, dim)`` and ``offset`` of shape
-    ``(k,)``, one cut per row.  A zero normal is legal and denotes the whole
-    space when ``offset >= 0`` and the empty set otherwise.
-    """
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        n = np.array(self.normal, dtype=float)
-        offset = np.array(self.offset, dtype=float)
-        if n.ndim not in (1, 2) or n.shape[-1] == 0 or offset.shape != n.shape[:-1]:
-            raise ValueError(
-                f"a halfspace needs a normal of shape (dim,) or (k, dim) and an offset "
-                f"of shape () or (k,), got {n.shape} and {offset.shape}"
-            )
-        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(offset))):
-            raise ValueError("halfspace normal and offset must be finite")
-        n.setflags(write=False)
-        offset.setflags(write=False)
-        object.__setattr__(self, "normal", n)
-        # a single cut keeps a scalar offset
-        object.__setattr__(self, "offset", offset[()])
-
-    @property
-    def is_empty(self):
-        return np.all(self.normal == 0.0, axis=-1) & (self.offset < 0.0)
-
-    def violation(self, x):
-        """Signed constraint value ``<x, normal> - offset`` (<= 0 means feasible).
-
-        One value per row when ``x`` or the cut is a stack.
-        """
-        value = np.vecdot(x, self.normal) - self.offset
-        return float(value) if value.ndim == 0 else value
-
-    def contains(self, x, tol=GEOM_TOL):
-        return self.violation(x) <= tol
-
-
-def halfspace_of(z1, z2):
-    """Halfspace ``{h : <h - z2, z1 - z2> <= 0}`` in normal/offset form.
-
-    For ``z1 == z2`` this is the whole space, returned as the zero normal
-    with zero offset.  Either point may be a ``(k, dim)`` stack; the result
-    is then a stack of ``k`` cuts.
-    """
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    if z1.shape[-1:] != z2.shape[-1:]:
-        raise ValueError(f"dimension mismatch: {z1.shape[-1]} vs {z2.shape[-1]}")
-    a = z1 - z2
-    return HalfSpace(a, np.vecdot(z2, a))
 
 
 def _project_cut(normal, offset, w):
@@ -226,8 +165,28 @@ def haugazeau_rows(w, b_rows, c_rows):
     return np.where(case_i[:, None], c_rows, out)
 
 
+def _checked_cut(normal, offset):
+    """The cut ``(normal, offset)`` as float arrays, of matching shapes and finite."""
+    normal = np.asarray(normal, dtype=float)
+    offset = np.asarray(offset, dtype=float)
+    if normal.ndim not in (1, 2) or normal.shape[-1] == 0 or offset.shape != normal.shape[:-1]:
+        raise ValueError(
+            f"a halfspace needs a normal of shape (dim,) or (k, dim) and an offset "
+            f"of shape () or (k,), got {normal.shape} and {offset.shape}"
+        )
+    if not (np.all(np.isfinite(normal)) and np.all(np.isfinite(offset))):
+        raise ValueError("halfspace normal and offset must be finite")
+    return normal, offset
+
+
 def project_onto_halfspaces(halfspaces, w):
     """Project ``w`` onto the intersection of at most two halfspaces.
+
+    Each halfspace is a pair ``(normal, offset)``, the set ``{h : <h, normal> <= offset}``,
+    or a stack of ``k`` such cuts: ``normal`` of shape ``(dim,)`` or ``(k, dim)``
+    and ``offset`` a scalar or of shape ``(k,)``.  A zero normal with a negative
+    offset is empty and raises :class:`EmptyIntersectionError`.  ``H(z1, z2)`` is
+    the pair ``(z1 - z2, <z2, z1 - z2>)``.
 
     Two cuts reduce to the two-cut projection (Haugazeau): ``b`` projects
     ``w`` onto the cut it violates most; when ``b`` violates the other cut,
@@ -238,22 +197,22 @@ def project_onto_halfspaces(halfspaces, w):
     projected onto each row's intersection and the result has ``k`` rows.
     """
     w = np.asarray(w, dtype=float)
-    if len(halfspaces) > 2:
+    cuts = [_checked_cut(normal, offset) for normal, offset in halfspaces]
+    if len(cuts) > 2:
         raise ValueError("only intersections of at most two halfspaces are supported")
-    if any(np.any(h.is_empty) for h in halfspaces):
+    if any(np.any(np.all(n == 0.0, axis=-1) & (o < 0.0)) for n, o in cuts):
         raise EmptyIntersectionError("an empty halfspace was supplied")
-    if not halfspaces:
+    if not cuts:
         return w.copy()
-    if len(halfspaces) == 1:
-        return _project_cut(halfspaces[0].normal, halfspaces[0].offset, w)
+    if len(cuts) == 1:
+        return _project_cut(*cuts[0], w)
 
-    h1, h2 = halfspaces
-    shape = np.broadcast_shapes(w.shape, h1.normal.shape, h2.normal.shape)
+    shape = np.broadcast_shapes(w.shape, *(n.shape for n, _ in cuts))
     dim, rows = shape[-1], shape[:-1]
     # one row axis, of length 1 when neither the cuts nor w are stacks
     w = np.broadcast_to(w, shape).reshape(-1, dim)
-    n1, n2 = (np.broadcast_to(h.normal, shape).reshape(-1, dim) for h in halfspaces)
-    o1, o2 = (np.broadcast_to(h.offset, rows).reshape(-1) for h in halfspaces)
+    n1, n2 = (np.broadcast_to(n, shape).reshape(-1, dim) for n, _ in cuts)
+    o1, o2 = (np.broadcast_to(o, rows).reshape(-1) for _, o in cuts)
     p1, p2 = _project_cut(n1, o1, w), _project_cut(n2, o2, w)
     # start with the cut w violates most: a longer step w - b keeps the
     # direction of that cut's normal through rounding
@@ -285,7 +244,10 @@ class Cap:
         z = as_vector(self.z)
         if w.shape != z.shape:
             raise ValueError("cap anchor points must have equal dimension")
-        gap = float(np.sum((w - z) ** 2))
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            gap = float(np.sum((w - z) ** 2))
+        if gap == np.inf:
+            raise ValueError("||w - z||^2 of the cap's anchor pair overflows")
         if not 0.0 < self.r < gap:
             raise ValueError(
                 f"floor must satisfy 0 < r < ||w - z||^2 = {gap:.6g}, got r = {self.r}"
@@ -315,10 +277,10 @@ def cap_membership(cap, x):
     Returns :data:`INSIDE_DHAT` when both the ball test
     ``<z - x, w - x> <= GEOM_TOL`` and the floor test
     ``||x - w||^2 >= r - GEOM_TOL`` hold, :data:`INSIDE_D_ONLY` when only
-    the ball test holds, and :data:`OUTSIDE` otherwise.
+    the ball test holds, and :data:`OUTSIDE` otherwise, also for a NaN point.
     """
     to_w = cap.w - x
-    if float((cap.z - x).dot(to_w)) > GEOM_TOL:
+    if not float((cap.z - x).dot(to_w)) <= GEOM_TOL:
         return OUTSIDE
     # add.reduce is np.sum without its dispatch; (w - x)^2 equals (x - w)^2 exactly
     if float(np.add.reduce(to_w * to_w)) < cap.r - GEOM_TOL:

@@ -88,12 +88,15 @@ def checked_instance(tag, inst, z_flat, floor_fraction):
             f"instance {tag!r}: oracle fails the fixed-point residual "
             f"(residual {resid:.3e}, tolerance {ORACLE_RESIDUAL_TOL})"
         )
-    gap_sq = float(np.sum((inst.w.flat - z_flat) ** 2))
+    with np.errstate(over="ignore"):  # Cap reports an overflowing gap
+        gap_sq = float(np.sum((inst.w.flat - z_flat) ** 2))
     cap = None
     if gap_sq != 0.0:
         try:
             cap = Cap(inst.w.flat, z_flat, float(floor_fraction) * gap_sq)
         except (TypeError, ValueError) as exc:
+            if gap_sq == np.inf:  # the anchor pair's fault, not the fraction's
+                raise
             raise ValueError(f"bad floor_fraction {floor_fraction!r}: {exc}") from exc
     return NamedInstance(tag=tag, instance=inst, cap=cap, z=z_flat)
 

@@ -22,6 +22,16 @@ def cut_normals(w, b, c):
     return [a1, a2], [float(b @ a1), float(c @ a2)]
 
 
+def cut(z1, z2):
+    """``H(z1, z2) = {h : <h - z2, z1 - z2> <= 0}`` as the pair ``(z1 - z2, <z2, z1 - z2>)``.
+
+    Either point may be a ``(k, dim)`` stack; the pair is then a stack of ``k`` cuts.
+    """
+    z2 = np.asarray(z2, float)
+    a = np.asarray(z1, float) - z2
+    return a, np.vecdot(z2, a)
+
+
 def project_two_constraints(w, normals, offsets, tol=1e-9):
     """Projection of ``w`` onto ``{h : <h, a_i> <= beta_i}`` by active-set enumeration.
 

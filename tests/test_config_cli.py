@@ -57,6 +57,19 @@ class TestConfig:
         doc = dict(INSTANCE_DOC, w=at_z, x0=at_z, floor_fraction=1.5)
         assert instance_from_doc(doc).cap is None
 
+    def test_overflowing_cap_is_named(self, tmp_path, capsys):
+        # ||w - z||^2 overflows: the cap says so, and the floor fraction is not blamed
+        doc = dict(INSTANCE_DOC, w={"p": [1e200], "v": [0.0]})
+        with pytest.raises(ConfigError, match="overflows") as info:
+            instance_from_doc(doc)
+        assert "floor_fraction" not in str(info.value)
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--instance", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflows" in err, err
+        assert "floor_fraction" not in err
+
     def test_wrong_solution(self):
         with pytest.raises(ConfigError, match="fixed-point residual"):
             instance_from_doc(dict(INSTANCE_DOC, z=[0.4, -0.5]))

@@ -25,6 +25,8 @@ from mflow import (
 from mflow import diagnostics
 from mflow.diagnostics import _in_cap_rows, _rd_batches
 
+from .oracles import cut
+
 
 @pytest.fixture(scope="module")
 def lens():
@@ -173,11 +175,10 @@ class TestFloorScreen:
             ball = _near_radius(rng, cap.center, np.sqrt(cap.radius**2 + GEOM_TOL), 100)
             floor = _near_radius(rng, cap.w, np.sqrt(max(cap.r - GEOM_TOL, 0.0)), 100)
             cases.append((cap, np.vstack([ball, floor])))
-        # ||w - z|| overflows, so every mapped row holds an infinity or a NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            cap = Cap([1e200, 0.0], [-1e200, 0.0], 1e300)
-            unit = np.array([[-0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
-            non_finite = (cap, cap.center + cap.radius * unit)
+        # rows that hold an infinity or a NaN
+        inf, nan = np.inf, np.nan
+        cap = Cap([1.0, 0.0], [-1.0, 0.0], 0.5)
+        non_finite = (cap, np.array([[nan, 0.0], [inf, 0.0], [-inf, inf], [0.0, -inf], [nan, inf]]))
         labels = set()
         for i, (cap, rows) in enumerate(cases + [non_finite]):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -186,10 +187,8 @@ class TestFloorScreen:
             kept = _in_cap_rows(cap, rows)
             assert kept.tolist() == [label == INSIDE_DHAT for label in arbiter], f"case {i}"
         assert labels == {OUTSIDE, INSIDE_D_ONLY, INSIDE_DHAT}
-        # the NaN rows pass on to cap_membership, which accepts them
-        cap, rows = non_finite
-        assert not np.isfinite(rows).all(axis=1).any()
-        assert _in_cap_rows(cap, rows)[np.isnan(rows).any(axis=1)].all()
+        # both tests call every non-finite row outside
+        assert not _in_cap_rows(*non_finite).any()
 
     def test_floor_at_a_row_whose_vecdot_rounds_low(self, rng):
         # put the floor r - GEOM_TOL exactly at one row's exact-test sum, on the row
@@ -206,17 +205,16 @@ class TestFloorScreen:
         assert _in_cap_rows(cap, rows[i : i + 1]).tolist() == [True]
         assert cap_membership(cap, rows[i]) == INSIDE_DHAT
 
-    def test_non_finite_rows_are_kept(self):
-        # ||w - z|| overflows, so every mapped row holds an infinity or a NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            cap = Cap([1e200, 0.0], [-1e200, 0.0], 1e300)
-            unit = np.array([[-0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
-            rows = cap.center + cap.radius * unit
+    def test_non_finite_rows_are_dropped(self):
+        cap = get_instance("quadratic3x2").cap
+        assert cap_membership(cap, np.full(5, np.nan)) == OUTSIDE
+        # the center is inside; one NaN or infinite entry puts a row outside
+        rows = np.tile(cap.center, (4, 1))
+        rows[1, 0], rows[2, 3], rows[3, 4] = np.nan, np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
             labels = [cap_membership(cap, x) for x in rows]
-        assert not np.isfinite(rows).all(axis=1).any()
-        # the NaN rows are kept, and the all-infinite row goes as the exact test says
-        assert labels == [INSIDE_DHAT, INSIDE_DHAT, OUTSIDE]
-        assert _in_cap_rows(cap, rows).tolist() == [True, True, False]
+        assert labels == [INSIDE_DHAT, OUTSIDE, OUTSIDE, OUTSIDE]
+        assert _in_cap_rows(cap, rows).tolist() == [True, False, False, False]
 
     @pytest.mark.parametrize("seed", [0, 104729])
     @pytest.mark.parametrize("tag", ["quadratic3x2", "lasso3x2", "box-flow"])
@@ -375,12 +373,11 @@ class TestOutwardDrift:
         named = get_instance("quadratic1d")
         F = build_field(named.instance, cap=named.cap)
         samples = sample_cap(named.cap, n_samples=128, seed=6)
-        from mflow import halfspace_of
-
         for x in samples:
             fx = F(x)
             value = float(fx @ (named.cap.w - x))
-            member = halfspace_of(named.cap.w, x).contains(x + fx, tol=1e-10)
+            normal, offset = cut(named.cap.w, x)
+            member = np.vecdot(x + fx, normal) - offset <= 1e-10
             assert member == (value <= 1e-10)
 
 

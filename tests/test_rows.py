@@ -15,7 +15,6 @@ from mflow import (
     BallNormalCone,
     BoxNormalCone,
     EmptyIntersectionError,
-    HalfSpace,
     L1,
     LinearMap,
     LinearMonotone,
@@ -26,13 +25,14 @@ from mflow import (
     builtin_tags,
     fixed_point_operator,
     get_instance,
-    halfspace_of,
     haugazeau_projection,
     kt_operator,
     project_onto_halfspaces,
 )
 from mflow.geometry import haugazeau_rows
 from mflow.splitting import kt_apply_flat, kt_apply_rows
+
+from .oracles import cut
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -256,25 +256,19 @@ def test_halfspace_rows(data):
     w, b, c = q_batch(data, dim)
     # one anchor against stacked points, in either position
     for z1, z2 in ((w, b), (b, c), (b, w)):
-        rows = halfspace_of(z1, z2)
+        rows = cut(z1, z2)
         singles = [
-            halfspace_of(z1 if z1.ndim == 1 else z1[i], z2 if z2.ndim == 1 else z2[i])
+            cut(z1 if z1.ndim == 1 else z1[i], z2 if z2.ndim == 1 else z2[i])
             for i in range(len(b))
         ]
-        assert_rows_equal(rows.normal, [h.normal for h in singles])
-        assert_rows_equal(rows.offset, [h.offset for h in singles])
-        assert_rows_equal(rows.violation(w), [h.violation(w) for h in singles])
-        assert_rows_equal(rows.violation(c), [h.violation(x) for h, x in zip(singles, c)])
         assert_rows_equal(
             project_onto_halfspaces([rows], w), [project_onto_halfspaces([h], w) for h in singles]
         )
 
-    cuts = [halfspace_of(w, b), halfspace_of(b, c)]
+    cuts = [cut(w, b), cut(b, c)]
     assert_same_outcome(
         lambda: project_onto_halfspaces(cuts, w),
-        lambda bc: project_onto_halfspaces(
-            [halfspace_of(w, bc[:dim]), halfspace_of(bc[:dim], bc[dim:])], w
-        ),
+        lambda bc: project_onto_halfspaces([cut(w, bc[:dim]), cut(bc[:dim], bc[dim:])], w),
         np.hstack([b, c]),
     )
 
@@ -284,15 +278,12 @@ def test_project_onto_halfspaces_rows_whole_space_mix():
     w = np.array([0.0, 0.0])
     b = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 1.0]])
     c = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 0.0], [3.0, 3.0]])
-    cuts = [halfspace_of(w, b), halfspace_of(b, c)]
-    singles = [
-        project_onto_halfspaces([halfspace_of(w, bi), halfspace_of(bi, ci)], w)
-        for bi, ci in zip(b, c)
-    ]
+    cuts = [cut(w, b), cut(b, c)]
+    singles = [project_onto_halfspaces([cut(w, bi), cut(bi, ci)], w) for bi, ci in zip(b, c)]
     assert_rows_equal(project_onto_halfspaces(cuts, w), singles)
 
-    shared = HalfSpace([1.0, 1.0], -1.0)
-    singles = [project_onto_halfspaces([shared, halfspace_of(w, bi)], w) for bi in b]
+    shared = ([1.0, 1.0], -1.0)
+    singles = [project_onto_halfspaces([shared, cut(w, bi)], w) for bi in b]
     assert_rows_equal(project_onto_halfspaces([shared, cuts[0]], w), singles)
     with pytest.raises(ValueError, match="at most two"):
         project_onto_halfspaces([shared, cuts[0], cuts[1]], w)
