@@ -20,10 +20,12 @@ from mflow import (
 
 def run_checks(label, field, cap, z, n_samples=512):
     samples = sample_cap(cap, n_samples=n_samples, seed=0)
+    # the field runs once, on z stacked on the samples; each check scores those values
+    values = field(np.vstack([z, samples]))
     reports = [
-        check_unique_zero(field, cap, z, samples),
-        check_cap_invariance(field, cap, samples),
-        check_outward_drift(field, cap, samples),
+        check_unique_zero(values, cap, z, samples),
+        check_cap_invariance(values, cap, samples),
+        check_outward_drift(values, cap, samples),
     ]
     print(f"== {label} ==")
     for rep in reports:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diagnostics, dynamics
 from .config import ConfigError, load_json, resolve_instance
-from .geometry import GEOM_TOL, EmptyIntersectionError, haugazeau_projection
+from .geometry import GEOM_TOL, EmptyIntersectionError, haugazeau_projection, haugazeau_rows
 from .problems import builtin_tags
 from .space import as_vector
 from .splitting import fixed_point_operator
@@ -259,16 +259,24 @@ def cmd_check(args):
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
-    fld = named.flow_field()
     samples = diagnostics.sample_cap(named.cap, n_samples=n_samples, seed=seed)
+    # each map runs once, on z stacked on the samples; the checks score those values
+    points = np.vstack([named.z, samples])
+    # a non-finite value fails the checks' own test, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if named.instance is None:
+            fx = named.field(points)
+        else:
+            tx = fixed_point_operator("kuhn_tucker", instance=named.instance)(points)
+            # the flow field Q(w, x, Tx) - x, as build_field's target evaluates it
+            fx = haugazeau_rows(named.cap.w, points, tx) - points
     reports = [
-        diagnostics.check_unique_zero(fld, named.cap, named.z, samples, tol=tol),
-        diagnostics.check_cap_invariance(fld, named.cap, samples, tol=tol),
-        diagnostics.check_outward_drift(fld, named.cap, samples, tol=tol),
+        diagnostics.check_unique_zero(fx, named.cap, named.z, samples, tol=tol),
+        diagnostics.check_cap_invariance(fx, named.cap, samples, tol=tol),
+        diagnostics.check_outward_drift(fx, named.cap, samples, tol=tol),
     ]
     if named.instance is not None:
-        T = fixed_point_operator("kuhn_tucker", instance=named.instance)
-        reports.extend(diagnostics.check_projection_conditions(T, named.cap, samples, tol=tol))
+        reports.extend(diagnostics.check_projection_conditions(tx, named.cap, samples, tol=tol))
 
     out = _out_dir(args)
     report_path = out / f"{named.tag}_checks.json"

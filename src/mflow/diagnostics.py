@@ -5,10 +5,10 @@ it; every check below states its sample count and reports the worst signed
 violation together with a witness.  Reports are deterministic for a fixed
 seed.
 
-The checks evaluate a field or map once on the whole ``(k, dim)``
-stack of samples, one point per row, so what they are given must map rows
-(see :func:`build_field`); the output is checked once per call for shape and
-finiteness.
+Each check takes its map's values at the reference point ``z`` stacked on
+the samples, ``[z; samples]``, one point per row, so that one run evaluates
+each map once (see :func:`build_field`); the values are checked for shape
+and finiteness.
 """
 
 import numbers
@@ -125,24 +125,20 @@ def _in_cap_rows(cap, x):
     with np.errstate(over="ignore", invalid="ignore"):
         to_w = cap.w - x
         outside = ~(np.vecdot(cap.z - x, to_w) <= GEOM_TOL)
-        # add.reduce, as in cap_membership: a row vecdot of to_w rounds differently
-        below_floor = np.add.reduce(to_w * to_w, axis=1) < cap.r - GEOM_TOL
+        # a row vecdot, as cap_membership's .dot of one point, and equal to it bit for bit
+        below_floor = np.vecdot(to_w, to_w) < cap.r - GEOM_TOL
     return ~(outside | below_floor)
 
 
-def _field_values(F, x):
-    """``F`` on a ``(k, dim)`` stack of points, checked once for shape and finiteness."""
-    # an empty stack needs no call, and a field need not accept one
-    if x.shape[0] == 0:
-        return np.empty_like(x)
-    # a non-finite value raises NonFiniteError below, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx = np.asarray(F(x), dtype=float)
-    if fx.shape != x.shape:
-        raise ValueError(f"the field maps shape {x.shape} to shape {fx.shape}")
-    if not np.all(np.isfinite(fx)):
+def _checked_values(values, samples):
+    """A map's values at ``[z; samples]`` as floats, checked for shape and finiteness."""
+    values = np.asarray(values, dtype=float)
+    shape = (len(samples) + 1, samples.shape[1])
+    if values.shape != shape:
+        raise ValueError(f"values at [z; samples] must have shape {shape}, got {values.shape}")
+    if not np.all(np.isfinite(values)):
         raise NonFiniteError("field values must be finite")
-    return fx
+    return values
 
 
 def _norms(x):
@@ -180,18 +176,20 @@ def _report(name, tol, sample_count, violation, points, extra, notes=""):
     )
 
 
-def check_unique_zero(F, cap, z, samples, tol=GEOM_TOL):
+def check_unique_zero(values, cap, z, samples, tol=GEOM_TOL):
     """Check that ``z`` is the field's only stationary point on the cap.
 
-    Passes when ``||F(z)|| <= tol`` and every sample at distance more than
-    ``10 tol`` from ``z`` has ``||F|| > tol``.  The violation at a sample is
+    ``values`` are the field's values at ``[z; samples]``.  Passes when
+    ``||F(z)|| <= tol`` and every sample at distance more than ``10 tol``
+    from ``z`` has ``||F|| > tol``.  The violation at a sample is
     ``tol - ||F(x)||`` (positive means a spurious zero).
     """
     z = as_vector(z)
     samples = np.asarray(samples, dtype=float)
-    kept = samples[_norms(samples - z) >= 10.0 * tol]
-    points = np.vstack([z, kept])
-    field_norms = _norms(_field_values(F, points))
+    values = _checked_values(values, samples)
+    keep = np.concatenate([[True], _norms(samples - z) >= 10.0 * tol])
+    points = np.vstack([z, samples])[keep]
+    field_norms = _norms(values[keep])
     violation = np.concatenate([field_norms[:1] - tol, tol - field_norms[1:]])
 
     def extra(i):
@@ -211,16 +209,17 @@ def check_unique_zero(F, cap, z, samples, tol=GEOM_TOL):
     )
 
 
-def check_cap_invariance(F, cap, samples, tol=GEOM_TOL):
+def check_cap_invariance(values, cap, samples, tol=GEOM_TOL):
     """Check that the segments ``x + h F(x)`` stay inside the cap.
 
-    For each sample and each ``h`` in :data:`INVARIANCE_STEPS` the endpoint
-    is tested against the cap's ball (violation ``<z - y, w - y>``) and
-    floor (violation ``r - ||y - w||^2``); the larger of the two is reported.
+    ``values`` are the field's values at ``[z; samples]``.  For each sample
+    and each ``h`` in :data:`INVARIANCE_STEPS` the endpoint is tested against
+    the cap's ball (violation ``<z - y, w - y>``) and floor (violation
+    ``r - ||y - w||^2``); the larger of the two is reported.
     """
     samples = np.asarray(samples, dtype=float)
     steps = np.array(INVARIANCE_STEPS)
-    values = _field_values(F, samples)
+    values = _checked_values(values, samples)[1:]
     # one endpoint per sample and step, sample-major
     ends = samples[:, None] + steps[:, None] * values[:, None]
     ends = ends.reshape(-1, samples.shape[1])
@@ -248,24 +247,25 @@ def check_cap_invariance(F, cap, samples, tol=GEOM_TOL):
     )
 
 
-def check_outward_drift(F, cap, samples, tol=GEOM_TOL):
+def check_outward_drift(values, cap, samples, tol=GEOM_TOL):
     """Check ``<F(x), w - x> <= 0`` on the cap.
 
-    This is the sign condition making the distance to the anchor ``w``
-    nondecreasing along the flow.
+    ``values`` are the field's values at ``[z; samples]``.  This is the sign
+    condition making the distance to the anchor ``w`` nondecreasing along
+    the flow.
     """
     samples = np.asarray(samples, dtype=float)
-    violation = np.vecdot(_field_values(F, samples), cap.w - samples)
+    violation = np.vecdot(_checked_values(values, samples)[1:], cap.w - samples)
     return _report("outward_drift", tol, len(samples), violation, samples, None)
 
 
-def check_projection_conditions(T, cap, samples, tol=GEOM_TOL):
+def check_projection_conditions(tx, cap, samples, tol=GEOM_TOL):
     """Verify the moving-projection conditions for ``C(x) = H(w, x) & H(x, Tx)``.
 
-    ``T`` must map a ``(k, dim)`` stack of points row by row; it is called
-    once, on the reference point stacked on the samples.  The projection of
-    ``w`` onto ``C(x)`` is the flow's own ``Q(w, x, Tx)``
-    (:func:`haugazeau_rows`).  Four reports come back:
+    ``tx`` are the values of ``T`` at ``[z; samples]``, with ``z`` the cap's
+    reference point.  The projection of ``w`` onto ``C(x)`` is the flow's own
+    ``Q(w, x, Tx)`` (:func:`haugazeau_rows`), so ``P(x) - x`` is the flow
+    field's value bit for bit.  Four reports come back:
 
     * ``projection_stationarity``: the reference point belongs to every
       ``C(x)``, the projection of ``w`` fixes no sampled ``x`` away from the
@@ -282,7 +282,7 @@ def check_projection_conditions(T, cap, samples, tol=GEOM_TOL):
     scale = 1.0 + float(np.linalg.norm(w - z))
 
     points = np.vstack([z, samples])
-    tx = _field_values(T, points)
+    tx = _checked_values(tx, samples)
     proj = haugazeau_rows(w, points, tx)
     ref_violation = float(np.linalg.norm(proj[0] - z)) - tol * scale
     proj, tx = proj[1:], tx[1:]

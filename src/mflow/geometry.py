@@ -264,7 +264,8 @@ class Cap:
 
     @property
     def center(self):
-        return 0.5 * (self.w + self.z)
+        # halves first, so that a cap near the top of the float range has a finite center
+        return 0.5 * self.w + 0.5 * self.z
 
     @property
     def radius(self):
@@ -282,8 +283,8 @@ def cap_membership(cap, x):
     to_w = cap.w - x
     if not float((cap.z - x).dot(to_w)) <= GEOM_TOL:
         return OUTSIDE
-    # add.reduce is np.sum without its dispatch; (w - x)^2 equals (x - w)^2 exactly
-    if float(np.add.reduce(to_w * to_w)) < cap.r - GEOM_TOL:
+    # ||w - x||^2 equals ||x - w||^2 exactly; _in_cap_rows' row vecdot gives the same bits
+    if float(to_w.dot(to_w)) < cap.r - GEOM_TOL:
         return INSIDE_D_ONLY
     return INSIDE_DHAT
 

@@ -90,12 +90,14 @@ def checked_instance(tag, inst, z_flat, floor_fraction):
         )
     with np.errstate(over="ignore"):  # Cap reports an overflowing gap
         gap_sq = float(np.sum((inst.w.flat - z_flat) ** 2))
-    cap = None
+    cap = fraction = None
     if gap_sq != 0.0:
         try:
-            cap = Cap(inst.w.flat, z_flat, float(floor_fraction) * gap_sq)
-        except (TypeError, ValueError) as exc:
-            if gap_sq == np.inf:  # the anchor pair's fault, not the fraction's
+            fraction = float(floor_fraction)
+            cap = Cap(inst.w.flat, z_flat, fraction * gap_sq)
+        except (TypeError, ValueError, OverflowError) as exc:
+            # a fraction that converts leaves an overflowing gap the anchor pair's fault
+            if fraction is not None and gap_sq == np.inf:
                 raise
             raise ValueError(f"bad floor_fraction {floor_fraction!r}: {exc}") from exc
     return NamedInstance(tag=tag, instance=inst, cap=cap, z=z_flat)

@@ -49,7 +49,8 @@ class TestConfig:
     def test_floor_fraction(self):
         named = instance_from_doc(dict(INSTANCE_DOC, floor_fraction=0.5))
         assert named.cap.r == pytest.approx(0.5 * 0.5)
-        for bad in (1.5, "abc"):
+        # an integer beyond the float range raises OverflowError in float()
+        for bad in (1.5, "abc", 10**400):
             with pytest.raises(ConfigError, match="floor_fraction"):
                 instance_from_doc(dict(INSTANCE_DOC, floor_fraction=bad))
         # the anchor is the solution: no cap, and the fraction is never used
@@ -69,6 +70,11 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "overflows" in err, err
         assert "floor_fraction" not in err
+
+    def test_malformed_fraction_is_named_when_the_gap_overflows(self):
+        doc = dict(INSTANCE_DOC, w={"p": [1e200], "v": [0.0]}, floor_fraction="abc")
+        with pytest.raises(ConfigError, match="bad floor_fraction 'abc'"):
+            instance_from_doc(doc)
 
     def test_wrong_solution(self):
         with pytest.raises(ConfigError, match="fixed-point residual"):

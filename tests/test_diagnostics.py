@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,10 +24,17 @@ from mflow import (
     sample_cap,
     solve,
 )
-from mflow import diagnostics
+from mflow import diagnostics, geometry, splitting
+from mflow.cli import main
 from mflow.diagnostics import _in_cap_rows, _rd_batches
+from mflow.dynamics import NonFiniteError
 
 from .oracles import cut
+
+
+def _at(F, z, samples):
+    """A map's values at ``z`` stacked on the samples, as the checks take them."""
+    return F(np.vstack([z, samples]))
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +45,11 @@ def lens():
 @pytest.fixture(scope="module")
 def lens_samples(lens):
     return sample_cap(lens.cap, n_samples=512, seed=0)
+
+
+@pytest.fixture(scope="module")
+def lens_values(lens, lens_samples):
+    return _at(lens.field, lens.z, lens_samples)
 
 
 class TestSampleCap:
@@ -190,18 +204,21 @@ class TestFloorScreen:
         # both tests call every non-finite row outside
         assert not _in_cap_rows(*non_finite).any()
 
-    def test_floor_at_a_row_whose_vecdot_rounds_low(self, rng):
-        # put the floor r - GEOM_TOL exactly at one row's exact-test sum, on the row
-        # whose vecdot falls furthest below that sum: the exact test accepts it
+    def test_floor_at_a_row_whose_add_reduce_rounds_low(self, rng):
+        # put the floor r - GEOM_TOL exactly at one row's exact-test sum, a dot
+        # product, on the row whose add.reduce falls furthest below that sum:
+        # both tests accept it, where a sum by add.reduce would not
         w, z = np.array([0.3, -1.2, 2.0]), np.array([-1.7, 0.4, -0.9])
         probe = Cap(w, z, 1.0)
         rows = probe.center + probe.radius * rng.uniform(-0.5, 0.5, (4000, 3))
         d = w - rows
-        exact = np.array([np.add.reduce(row * row) for row in d])
-        i = int(np.argmin(np.vecdot(d, d) - exact))
+        exact = np.array([row.dot(row) for row in d])
+        reduced = np.add.reduce(d * d, axis=1)
+        i = int(np.argmin(reduced - exact))
         r = exact[i] + GEOM_TOL
         r = next(s for s in r + np.arange(-8, 9) * np.spacing(r) if s - GEOM_TOL == exact[i])
         cap = Cap(w, z, r)
+        assert reduced[i] < cap.r - GEOM_TOL
         assert _in_cap_rows(cap, rows[i : i + 1]).tolist() == [True]
         assert cap_membership(cap, rows[i]) == INSIDE_DHAT
 
@@ -232,10 +249,13 @@ class TestFloorScreen:
 
 
 def _old_membership(cap, x):
-    """cap_membership as written before it shared the difference ``w - x``."""
+    """cap_membership as written before it shared the difference ``w - x``.
+
+    Its floor sum is the dot product that cap_membership takes, of ``x - w``.
+    """
     if float((cap.z - x) @ (cap.w - x)) > GEOM_TOL:
         return OUTSIDE
-    if float(np.sum((x - cap.w) ** 2)) < cap.r - GEOM_TOL:
+    if float((x - cap.w) @ (x - cap.w)) < cap.r - GEOM_TOL:
         return INSIDE_D_ONLY
     return INSIDE_DHAT
 
@@ -264,46 +284,70 @@ def test_membership_matches_old_formula(tag, rng):
     assert labels == {OUTSIDE, INSIDE_D_ONLY, INSIDE_DHAT}
 
 
+def _counted(monkeypatch, calls, owner, name):
+    """Record ``(name, shape of the second argument)`` for every call of ``owner.name``.
+
+    A class's method is replaced on the class, a function on every module of
+    the package that binds it.
+    """
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((name, np.shape(args[1])))
+        return original(*args, **kwargs)
+
+    owners = [owner] if isinstance(owner, type) else [
+        mod for key, mod in sys.modules.items() if key.split(".")[0] == "mflow"
+    ]
+    for mod in owners:
+        if vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
 class TestFieldCalls:
-    def test_one_field_call_per_check(self, lens, lens_samples):
-        shapes = []
-
-        def drift(x):
-            shapes.append(np.shape(x))
-            return lens.field(x)
-
-        F = VectorField(fn=drift, cap=lens.cap)
-        check_unique_zero(F, lens.cap, lens.z, lens_samples)
-        check_cap_invariance(F, lens.cap, lens_samples)
-        check_outward_drift(F, lens.cap, lens_samples)
-        n = len(lens_samples)
-        assert shapes == [(n + 1, 2), (n, 2), (n, 2)]
+    def test_one_evaluation_per_check_run(self, tmp_path, monkeypatch):
+        calls = []
+        _counted(monkeypatch, calls, splitting, "kt_apply_rows")
+        _counted(monkeypatch, calls, geometry, "haugazeau_rows")
+        _counted(monkeypatch, calls, VectorField, "__call__")
+        argv = ["check", "--samples", "64", "--out", str(tmp_path), "--instance"]
+        # on a splitting instance T runs once and Q at most twice; F is Q - x
+        assert main(argv + ["quadratic3x2"]) == 0
+        names = [name for name, _ in calls]
+        assert names.count("kt_apply_rows") == 1 and names.count("haugazeau_rows") <= 2
+        assert set(calls) == {("kt_apply_rows", (65, 5)), ("haugazeau_rows", (65, 5))}
+        # a raw field runs once
+        calls.clear()
+        assert main(argv + ["box-flow"]) == 0
+        assert calls == [("__call__", (65, 2))]
 
     @pytest.mark.parametrize(
-        "fn, match",
+        "values, error, match",
         [
-            (lambda x: np.zeros(2), "shape"),
-            (lambda x: np.full_like(x, np.nan), "finite"),
+            (np.zeros(2), ValueError, "shape"),
+            (np.zeros((512, 2)), ValueError, "shape"),
+            (np.full((513, 2), np.nan), NonFiniteError, "finite"),
         ],
-        ids=["single-point-field", "nan"],
+        ids=["single-point-field", "no-reference-row", "nan"],
     )
-    def test_field_output_checked(self, lens, lens_samples, fn, match):
-        F = VectorField(fn=fn)
+    def test_field_output_checked(self, lens, lens_samples, values, error, match):
         for check in (check_cap_invariance, check_outward_drift):
-            with pytest.raises(ValueError, match=match):
-                check(F, lens.cap, lens_samples)
-        with pytest.raises(ValueError, match=match):
-            check_unique_zero(F, lens.cap, lens.z, lens_samples)
+            with pytest.raises(error, match=match):
+                check(values, lens.cap, lens_samples)
+        with pytest.raises(error, match=match):
+            check_unique_zero(values, lens.cap, lens.z, lens_samples)
+        with pytest.raises(error, match=match):
+            check_projection_conditions(values, lens.cap, lens_samples)
 
 
 class TestUniqueZero:
-    def test_passes_on_drift_fixture(self, lens, lens_samples):
-        rep = check_unique_zero(lens.field, lens.cap, lens.z, lens_samples)
+    def test_passes_on_drift_fixture(self, lens, lens_samples, lens_values):
+        rep = check_unique_zero(lens_values, lens.cap, lens.z, lens_samples)
         assert rep.passed
 
     def test_everything_is_a_zero_fails(self, lens, lens_samples):
         zero = VectorField(fn=lambda x: np.zeros_like(x))
-        rep = check_unique_zero(zero, lens.cap, lens.z, lens_samples)
+        rep = check_unique_zero(_at(zero, lens.z, lens_samples), lens.cap, lens.z, lens_samples)
         assert not rep.passed
         assert rep.witness is not None
 
@@ -311,13 +355,13 @@ class TestUniqueZero:
         named = get_instance("quadratic1d")
         F = build_field(named.instance, cap=named.cap)
         samples = sample_cap(named.cap, n_samples=128, seed=1)
-        rep = check_unique_zero(F, named.cap, named.z, samples)
+        rep = check_unique_zero(_at(F, named.z, samples), named.cap, named.z, samples)
         assert rep.passed
 
 
 class TestCapInvariance:
-    def test_fails_on_lens_drift_with_south_pole_witness(self, lens, lens_samples):
-        rep = check_cap_invariance(lens.field, lens.cap, lens_samples)
+    def test_fails_on_lens_drift_with_south_pole_witness(self, lens, lens_samples, lens_values):
+        rep = check_cap_invariance(lens_values, lens.cap, lens_samples)
         assert not rep.passed
         assert rep.worst_violation > 0.1
         south = np.array([0.0, -1.0])
@@ -329,31 +373,31 @@ class TestCapInvariance:
     def test_passes_on_branching_fixture(self):
         named = get_instance("box-flow")
         samples = sample_cap(named.cap, n_samples=256, seed=0)
-        rep = check_cap_invariance(named.field, named.cap, samples)
+        rep = check_cap_invariance(_at(named.field, named.z, samples), named.cap, samples)
         assert rep.passed
 
     def test_passes_on_built_field(self):
         named = get_instance("quadratic1d")
         F = build_field(named.instance, cap=named.cap)
         samples = sample_cap(named.cap, n_samples=128, seed=1)
-        rep = check_cap_invariance(F, named.cap, samples)
+        rep = check_cap_invariance(_at(F, named.z, samples), named.cap, samples)
         assert rep.passed
 
     def test_zero_field_trivially_invariant(self, lens, lens_samples):
         zero = VectorField(fn=lambda x: np.zeros_like(x))
-        rep = check_cap_invariance(zero, lens.cap, lens_samples)
+        rep = check_cap_invariance(_at(zero, lens.z, lens_samples), lens.cap, lens_samples)
         assert rep.passed
 
 
 class TestOutwardDrift:
-    def test_passes_on_lens_drift(self, lens, lens_samples):
+    def test_passes_on_lens_drift(self, lens, lens_samples, lens_values):
         # <(1 - x1, 0), (-1 - x1, -x2)> = x1^2 - 1 <= 0 on the unit disk
-        rep = check_outward_drift(lens.field, lens.cap, lens_samples)
+        rep = check_outward_drift(lens_values, lens.cap, lens_samples)
         assert rep.passed
 
     def test_pull_toward_anchor_fails(self, lens, lens_samples):
         pull = VectorField(fn=lambda x: lens.cap.w - x)
-        rep = check_outward_drift(pull, lens.cap, lens_samples)
+        rep = check_outward_drift(_at(pull, lens.z, lens_samples), lens.cap, lens_samples)
         assert not rep.passed
         x = rep.witness
         assert rep.worst_violation == pytest.approx(
@@ -364,7 +408,7 @@ class TestOutwardDrift:
         named = get_instance("quadratic3x2")
         F = build_field(named.instance, cap=named.cap)
         samples = sample_cap(named.cap, n_samples=128, seed=2)
-        rep = check_outward_drift(F, named.cap, samples)
+        rep = check_outward_drift(_at(F, named.z, samples), named.cap, samples)
         assert rep.passed
 
     def test_drift_sign_equals_halfspace_membership(self):
@@ -386,7 +430,7 @@ class TestProjectionConditions:
         named = get_instance("quadratic1d")
         T = fixed_point_operator("kuhn_tucker", instance=named.instance)
         samples = sample_cap(named.cap, n_samples=128, seed=3)
-        reports = check_projection_conditions(T, named.cap, samples)
+        reports = check_projection_conditions(_at(T, named.z, samples), named.cap, samples)
         assert [r.name for r in reports] == [
             "projection_stationarity",
             "projection_range",
@@ -402,7 +446,7 @@ class TestProjectionConditions:
         cap = Cap(w, z, 0.25)
         T = fixed_point_operator("resolvent", op=L1())
         samples = sample_cap(cap, n_samples=128, seed=4)
-        reports = check_projection_conditions(T, cap, samples)
+        reports = check_projection_conditions(_at(T, z, samples), cap, samples)
         assert all(r.passed for r in reports)
 
     def test_cut_excluding_solution_fails(self):
@@ -414,7 +458,8 @@ class TestProjectionConditions:
             return 2.0 * x - z
 
         samples = sample_cap(named.cap, n_samples=64, seed=5)
-        stationarity = check_projection_conditions(T, named.cap, samples)[0]
+        tx = _at(T, named.z, samples)
+        stationarity = check_projection_conditions(tx, named.cap, samples)[0]
         assert not stationarity.passed
         kinds = {rec["kind"] for rec in stationarity.violations}
         assert "reference_outside_cut" in kinds
@@ -423,9 +468,10 @@ class TestProjectionConditions:
         named = get_instance("quadratic3x2")
         F = build_field(named.instance, cap=named.cap)
         samples = np.vstack([named.z, sample_cap(named.cap, n_samples=32, seed=4)])
-        assert check_unique_zero(F, named.cap, named.z, samples).passed
+        assert check_unique_zero(_at(F, named.z, samples), named.cap, named.z, samples).passed
         T = fixed_point_operator("kuhn_tucker", instance=named.instance)
-        reports = check_projection_conditions(T, named.cap, samples, tol=1e-6)
+        tx = _at(T, named.z, samples)
+        reports = check_projection_conditions(tx, named.cap, samples, tol=1e-6)
         # z is its own fixed point; its spurious-fixed-point entry, 1e-6, is skipped
         assert reports[0].passed and reports[0].worst_violation < 1e-8
 
@@ -433,24 +479,18 @@ class TestProjectionConditions:
         # a NaN cut used to make every comparison false: all four reports passed
         named = get_instance("quadratic1d")
         samples = sample_cap(named.cap, n_samples=16, seed=5)
-        with pytest.raises(ValueError, match="finite"):
-            check_projection_conditions(
-                lambda x: np.full_like(x, np.nan), named.cap, samples
-            )
+        nan = np.full((len(samples) + 1, named.z.shape[0]), np.nan)
+        with pytest.raises(NonFiniteError, match="finite"):
+            check_projection_conditions(nan, named.cap, samples)
 
-    def test_one_call_of_T_for_all_samples(self):
-        named = get_instance("quadratic3x2")
-        kt = fixed_point_operator("kuhn_tucker", instance=named.instance)
-        shapes = []
-
-        def T(x):
-            shapes.append(np.shape(x))
-            return kt(x)
-
-        samples = sample_cap(named.cap, n_samples=32, seed=3)
-        reports = check_projection_conditions(T, named.cap, samples)
-        assert shapes == [(len(samples) + 1, named.z.shape[0])]
-        assert all(r.passed for r in reports)
+    def test_one_call_of_T_for_all_samples(self, tmp_path, monkeypatch):
+        # mflow check calls T through kt_operator, which the benchmark traces,
+        # once, on z stacked on the samples
+        calls = []
+        _counted(monkeypatch, calls, splitting, "kt_operator")
+        argv = ["check", "--instance", "quadratic3x2", "--samples", "32"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert calls == [("kt_operator", (33, 5))]
 
     @pytest.mark.parametrize("tag", ["quadratic1d", "quadratic3x2", "lasso1d", "lasso3x2"])
     def test_alignment_is_the_flow_drift(self, tag):
@@ -460,8 +500,9 @@ class TestProjectionConditions:
         T = fixed_point_operator("kuhn_tucker", instance=named.instance)
         samples = sample_cap(named.cap, n_samples=128, seed=1)
         # at tolerance -inf every sample is listed, so every value is compared
-        alignment = check_projection_conditions(T, named.cap, samples, tol=-np.inf)[2]
-        drift = check_outward_drift(F, named.cap, samples, tol=-np.inf)
+        tx = _at(T, named.z, samples)
+        alignment = check_projection_conditions(tx, named.cap, samples, tol=-np.inf)[2]
+        drift = check_outward_drift(_at(F, named.z, samples), named.cap, samples, tol=-np.inf)
         assert alignment.worst_violation == drift.worst_violation
         assert alignment.witness.tobytes() == drift.witness.tobytes()
         assert len(alignment.violations) == len(samples)
@@ -504,7 +545,9 @@ class TestConvergenceReport:
             assert rep["tail_contained"], tag
 
     def test_reports_deterministic(self, lens, lens_samples):
-        a = check_cap_invariance(lens.field, lens.cap, lens_samples)
-        b = check_cap_invariance(lens.field, lens.cap, lens_samples)
+        a, b = (
+            check_cap_invariance(_at(lens.field, lens.z, lens_samples), lens.cap, lens_samples)
+            for _ in range(2)
+        )
         assert a.worst_violation == b.worst_violation
         assert np.array_equal(a.witness, b.witness)

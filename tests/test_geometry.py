@@ -17,6 +17,7 @@ from mflow import (
     fejer_slack,
     haugazeau_projection,
     project_onto_halfspaces,
+    sample_cap,
 )
 from mflow.geometry import haugazeau_rows
 
@@ -366,6 +367,16 @@ class TestCap:
         cap = Cap([0.0, 0.0], [1.0, 0.0], 0.5)
         assert cap.radius == 0.5
         assert np.array_equal(cap.center, [0.5, 0.0])
+
+    def test_center_near_the_top_of_the_float_range(self, rng):
+        # w + z overflows, their halves do not
+        cap = Cap([1e308, 0.0], [1e308, 1.0], 0.25)
+        assert np.array_equal(cap.center, [1e308, 0.5])
+        assert sample_cap(cap, 4).shape == (4, 2)
+        # halving first gives the same bits wherever no half is subnormal
+        scale = np.ldexp(1.0, rng.integers(-300, 301, (2, 10_000, 1)))
+        w, z = rng.standard_normal((2, 10_000, 3)) * scale
+        assert np.array_equal(0.5 * w + 0.5 * z, 0.5 * (w + z))
 
     def test_overflowing_diameter_rejected(self):
         # ||w - z||^2 overflows, and in the second pair w - z too; a numpy
