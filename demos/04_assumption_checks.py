@@ -18,12 +18,12 @@ from mflow import (
 )
 
 
-def run_checks(label, field, cap, z, n_samples=512):
+def run_checks(label, field, cap, n_samples=512):
     samples = sample_cap(cap, n_samples=n_samples, seed=0)
     # the field runs once, on z stacked on the samples; each check scores those values
-    values = field(np.vstack([z, samples]))
+    values = field(np.vstack([cap.z, samples]))
     reports = [
-        check_unique_zero(values, cap, z, samples),
+        check_unique_zero(values, cap, samples),
         check_cap_invariance(values, cap, samples),
         check_outward_drift(values, cap, samples),
     ]
@@ -38,20 +38,19 @@ def run_checks(label, field, cap, z, n_samples=512):
 
 
 lens = get_instance("lens-drift")
-reports = run_checks("lens-drift", lens.field, lens.cap, lens.z)
+reports = run_checks("lens-drift", lens.field, lens.cap)
 south = np.array([0.0, -1.0])
 bad = [v for v in reports[1].violations if np.linalg.norm(v["point"] - south) < 0.1]
 print(f"invariance violations within 0.1 of the south pole: {len(bad)}")
 print()
 
 box = get_instance("box-flow")
-run_checks("box-flow", box.field, box.cap, box.z)
+run_checks("box-flow", box.field, box.cap)
 
 named = get_instance("quadratic3x2")
 run_checks(
     "quadratic3x2 (projection-built field)",
     build_field(named.instance, cap=named.cap),
     named.cap,
-    named.z,
     n_samples=256,
 )

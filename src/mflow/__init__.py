@@ -34,7 +34,6 @@ from .geometry import (
     INSIDE_DHAT,
     OUTSIDE,
     cap_membership,
-    fejer_slack,
     haugazeau_projection,
     project_onto_halfspaces,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "euler_defect",
     "euler_eval",
     "euler_nodes",
-    "fejer_slack",
     "fixed_point_operator",
     "get_instance",
     "haugazeau_projection",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diagnostics, dynamics
 from .config import ConfigError, load_json, resolve_instance
-from .geometry import GEOM_TOL, EmptyIntersectionError, haugazeau_projection, haugazeau_rows
+from .geometry import EmptyIntersectionError, haugazeau_projection, haugazeau_rows
 from .problems import builtin_tags
 from .space import as_vector
 from .splitting import fixed_point_operator
@@ -253,15 +253,13 @@ def cmd_check(args):
         )
     n_samples = int(args.samples if args.samples is not None else 512)
     seed = int(args.seed if args.seed is not None else 0)
-    tol = float(args.tol if args.tol is not None else GEOM_TOL)
     _positive("samples", n_samples)
-    _positive("tol", tol)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
     samples = diagnostics.sample_cap(named.cap, n_samples=n_samples, seed=seed)
     # each map runs once, on z stacked on the samples; the checks score those values
-    points = np.vstack([named.z, samples])
+    points = np.vstack([named.cap.z, samples])
     # a non-finite value fails the checks' own test, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         if named.instance is None:
@@ -269,14 +267,15 @@ def cmd_check(args):
         else:
             tx = fixed_point_operator("kuhn_tucker", instance=named.instance)(points)
             # the flow field Q(w, x, Tx) - x, as build_field's target evaluates it
-            fx = haugazeau_rows(named.cap.w, points, tx) - points
+            q = haugazeau_rows(named.cap.w, points, tx)
+            fx = q - points
     reports = [
-        diagnostics.check_unique_zero(fx, named.cap, named.z, samples, tol=tol),
-        diagnostics.check_cap_invariance(fx, named.cap, samples, tol=tol),
-        diagnostics.check_outward_drift(fx, named.cap, samples, tol=tol),
+        diagnostics.check_unique_zero(fx, named.cap, samples),
+        diagnostics.check_cap_invariance(fx, named.cap, samples),
+        diagnostics.check_outward_drift(fx, named.cap, samples),
     ]
     if named.instance is not None:
-        reports.extend(diagnostics.check_projection_conditions(tx, named.cap, samples, tol=tol))
+        reports.extend(diagnostics.check_projection_conditions(tx, q, named.cap, samples))
 
     out = _out_dir(args)
     report_path = out / f"{named.tag}_checks.json"
@@ -356,9 +355,6 @@ def build_parser():
     add_common(p_check)
     p_check.add_argument("--samples", type=int, default=None)
     p_check.add_argument("--seed", type=int, default=None, help="sampling seed")
-    p_check.add_argument(
-        "--tol", type=float, default=None, help="geometric tolerance (default 1e-10)"
-    )
     p_check.set_defaults(fn=cmd_check)
 
     p_proj = sub.add_parser("project", help="two-cut projection of an anchor point")

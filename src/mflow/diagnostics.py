@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import NonFiniteError
-from .geometry import GEOM_TOL, INSIDE_DHAT, cap_membership, haugazeau_rows
+from .geometry import GEOM_TOL, INSIDE_DHAT, _cap_rows, cap_membership
 from .space import as_vector
 
 __all__ = [
@@ -80,8 +80,8 @@ def sample_cap(cap, n_samples=512, seed=0):
 
     A uniformly shifted R_d sequence (:func:`_rd_batches`; shift drawn from ``seed``,
     Cranley & Patterson 1976) fills the bounding box of the cap's ball.  Each candidate that
-    passes :func:`_in_cap_rows` is kept if it also passes :func:`cap_membership`, until
-    ``n_samples`` survive.
+    passes both row tests of the cap is kept if it also passes :func:`cap_membership`,
+    until ``n_samples`` survive.
     """
     integral = isinstance(n_samples, numbers.Integral) and not isinstance(n_samples, bool)
     if not (integral and n_samples > 0):
@@ -91,7 +91,8 @@ def sample_cap(cap, n_samples=512, seed=0):
     kept = []
     for batch in _rd_batches(shift, max(n_samples, 64)):
         candidates = center + radius * (2.0 * batch - 1.0)
-        for x in candidates[_in_cap_rows(cap, candidates)]:
+        ball, floor = _cap_rows(cap, candidates)
+        for x in candidates[ball & floor]:
             if cap_membership(cap, x) == INSIDE_DHAT:
                 kept.append(x)
                 if len(kept) == n_samples:
@@ -114,20 +115,6 @@ def _rd_batches(shift, size):
     alpha = phi ** -np.arange(1.0, len(shift) + 1)
     for b in range(SAMPLE_MAX_BATCHES):
         yield (shift + np.arange(b * size + 1, (b + 1) * size + 1)[:, None] * alpha) % 1.0
-
-
-def _in_cap_rows(cap, x):
-    """Mask of the rows of ``x`` that pass :func:`cap_membership`'s two tests.
-
-    The tests are its own expressions evaluated on rows, so NaN rows fail as
-    they do there.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        to_w = cap.w - x
-        outside = ~(np.vecdot(cap.z - x, to_w) <= GEOM_TOL)
-        # a row vecdot, as cap_membership's .dot of one point, and equal to it bit for bit
-        below_floor = np.vecdot(to_w, to_w) < cap.r - GEOM_TOL
-    return ~(outside | below_floor)
 
 
 def _checked_values(values, samples):
@@ -176,15 +163,15 @@ def _report(name, tol, sample_count, violation, points, extra, notes=""):
     )
 
 
-def check_unique_zero(values, cap, z, samples, tol=GEOM_TOL):
-    """Check that ``z`` is the field's only stationary point on the cap.
+def check_unique_zero(values, cap, samples, tol=GEOM_TOL):
+    """Check that the cap's reference point ``z`` is the field's only stationary point on it.
 
     ``values`` are the field's values at ``[z; samples]``.  Passes when
     ``||F(z)|| <= tol`` and every sample at distance more than ``10 tol``
     from ``z`` has ``||F|| > tol``.  The violation at a sample is
     ``tol - ||F(x)||`` (positive means a spurious zero).
     """
-    z = as_vector(z)
+    z = cap.z
     samples = np.asarray(samples, dtype=float)
     values = _checked_values(values, samples)
     keep = np.concatenate([[True], _norms(samples - z) >= 10.0 * tol])
@@ -259,13 +246,13 @@ def check_outward_drift(values, cap, samples, tol=GEOM_TOL):
     return _report("outward_drift", tol, len(samples), violation, samples, None)
 
 
-def check_projection_conditions(tx, cap, samples, tol=GEOM_TOL):
+def check_projection_conditions(tx, q, cap, samples, tol=GEOM_TOL):
     """Verify the moving-projection conditions for ``C(x) = H(w, x) & H(x, Tx)``.
 
     ``tx`` are the values of ``T`` at ``[z; samples]``, with ``z`` the cap's
-    reference point.  The projection of ``w`` onto ``C(x)`` is the flow's own
-    ``Q(w, x, Tx)`` (:func:`haugazeau_rows`), so ``P(x) - x`` is the flow
-    field's value bit for bit.  Four reports come back:
+    reference point, and ``q`` the projections of ``w`` onto ``C(x)`` there:
+    the flow's own ``Q(w, x, Tx)``, so that ``q - x`` is the flow field's value
+    bit for bit.  Four reports come back:
 
     * ``projection_stationarity``: the reference point belongs to every
       ``C(x)``, the projection of ``w`` fixes no sampled ``x`` away from the
@@ -281,9 +268,8 @@ def check_projection_conditions(tx, cap, samples, tol=GEOM_TOL):
     k = len(samples)
     scale = 1.0 + float(np.linalg.norm(w - z))
 
-    points = np.vstack([z, samples])
     tx = _checked_values(tx, samples)
-    proj = haugazeau_rows(w, points, tx)
+    proj = _checked_values(q, samples)
     ref_violation = float(np.linalg.norm(proj[0] - z)) - tol * scale
     proj, tx = proj[1:], tx[1:]
     moved = _norms(proj - samples)

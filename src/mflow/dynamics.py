@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    Cap,
-    INSIDE_DHAT,
-    OUTSIDE,
-    cap_membership,
-    haugazeau_projection,
-    haugazeau_rows,
-)
+from .geometry import Cap, _cap_rows, haugazeau_projection, haugazeau_rows
 from .space import as_vector
 from .splitting import kt_apply_flat, kt_apply_rows
 
@@ -199,14 +192,13 @@ def _euler(F, x0, lam, n_steps):
     nodes = np.array(points)
     cap = getattr(F, "cap", None)
     if cap is not None:
+        ball, floor = _cap_rows(cap, nodes)
         # the floor exclusion only binds for runs started inside the admissible
         # cap; the discrete scheme legitimately starts at the anchor below it
-        floor_binds = cap_membership(cap, nodes[0]) == INSIDE_DHAT
-        for k in range(1, n_steps + 1):
-            membership = cap_membership(cap, nodes[k])
-            if membership == OUTSIDE or (floor_binds and membership != INSIDE_DHAT):
-                warnings.warn(f"euler node {k} left the admissible cap", RuntimeWarning)
-                break
+        inside = ball & floor if ball[0] and floor[0] else ball
+        left = np.flatnonzero(~inside[1:])
+        if len(left):
+            warnings.warn(f"euler node {left[0] + 1} left the admissible cap", RuntimeWarning)
     return nodes, field_norms
 
 
@@ -214,7 +206,8 @@ def euler_eval(nodes, lam, t):
     """Piecewise-affine trajectory value at time ``t``.
 
     On the segment ``[k lam, (k+1) lam]`` the trajectory is
-    ``c_k + (t - k lam) F(c_k)``; node times are reproduced exactly.
+    ``c_k + (t - k lam) F(c_k)``; node times are reproduced exactly, also
+    where ``t / lam`` rounds to within 1e-12 of the node's index.
     """
     _check_step(lam)
     nodes = np.asarray(nodes, dtype=float)
@@ -223,9 +216,11 @@ def euler_eval(nodes, lam, t):
     # negated, so that a NaN time fails it
     if not 0.0 <= s <= n_steps + 1e-12:
         raise ValueError(f"time {t} outside [0.0, {n_steps * lam}]")
-    k = min(int(np.floor(s)), n_steps - 1)
-    frac = s - k
-    return nodes[k] + frac * (nodes[k + 1] - nodes[k])
+    k = round(s)
+    if abs(s - k) < 1e-12:
+        return nodes[k].copy()
+    k = math.floor(s)
+    return nodes[k] + (s - k) * (nodes[k + 1] - nodes[k])
 
 
 def euler_defect(F, nodes, lam, t):

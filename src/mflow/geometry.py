@@ -23,7 +23,6 @@ __all__ = [
     "INSIDE_D_ONLY",
     "OUTSIDE",
     "cap_membership",
-    "fejer_slack",
 ]
 
 # Global geometric tolerance for feasibility / emptiness classification.
@@ -283,19 +282,21 @@ def cap_membership(cap, x):
     to_w = cap.w - x
     if not float((cap.z - x).dot(to_w)) <= GEOM_TOL:
         return OUTSIDE
-    # ||w - x||^2 equals ||x - w||^2 exactly; _in_cap_rows' row vecdot gives the same bits
+    # ||w - x||^2 equals ||x - w||^2 exactly; _cap_rows' row vecdot gives the same bits
     if float(to_w.dot(to_w)) < cap.r - GEOM_TOL:
         return INSIDE_D_ONLY
     return INSIDE_DHAT
 
 
-def fejer_slack(cap, x):
-    """Slack ``||w-z||^2 - ||w-x||^2 - ||x-z||^2``, nonnegative on the ball.
+def _cap_rows(cap, x):
+    """:func:`cap_membership`'s ball test and floor test on every row of ``x``, as two masks.
 
-    Equals ``-2 <z - x, w - x>``, so nonnegativity is exactly membership in
-    the ball spanned by the anchor pair; every admissible iterate of the
-    solver must keep it above a tiny negative rounding allowance.
+    The tests are its own expressions, each dot product a row vecdot that equals
+    its ``.dot`` of one point bit for bit, so a row is :data:`INSIDE_DHAT` where
+    both masks hold, :data:`OUTSIDE` where the ball mask fails, NaN rows included.
     """
-    x = as_vector(x)
-    w, z = cap.w, cap.z
-    return float(np.sum((w - z) ** 2) - np.sum((w - x) ** 2) - np.sum((x - z) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        to_w = cap.w - x
+        ball = np.vecdot(cap.z - x, to_w) <= GEOM_TOL
+        floor = np.vecdot(to_w, to_w) >= cap.r - GEOM_TOL
+    return ball, floor

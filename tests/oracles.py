@@ -32,6 +32,12 @@ def cut(z1, z2):
     return a, np.vecdot(z2, a)
 
 
+def fejer_slack(w, z, x):
+    """Spanned-ball slack ``||w - z||^2 - ||w - x||^2 - ||x - z||^2``, nonnegative on the ball."""
+    w, z, x = (np.asarray(v, float) for v in (w, z, x))
+    return float(np.sum((w - z) ** 2) - np.sum((w - x) ** 2) - np.sum((x - z) ** 2))
+
+
 def project_two_constraints(w, normals, offsets, tol=1e-9):
     """Projection of ``w`` onto ``{h : <h, a_i> <= beta_i}`` by active-set enumeration.
 

@@ -123,8 +123,6 @@ def test_run_config_value_of_wrong_type_exit_one(
 @pytest.mark.parametrize(
     "argv",
     [
-        ["check", "--instance", "lens-drift", "--tol", "nan"],
-        ["check", "--instance", "lens-drift", "--tol", "inf"],
         ["check", "--instance", "quadratic3x2", "--seed", "-1"],
         ["solve", "--instance", "quadratic1d", "--tol-residual", "nan"],
         ["solve", "--instance", "quadratic1d", "--tol-step", "nan"],
@@ -135,8 +133,6 @@ def test_run_config_value_of_wrong_type_exit_one(
         ["project", "[0,0]", "[1,0]", "[1]"],
     ],
     ids=[
-        "tol_nan",
-        "tol_inf",
         "seed_negative",
         "tol_residual_nan",
         "tol_step_nan",
@@ -164,6 +160,13 @@ def test_seed_is_an_option_of_check_only(capsys):
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
+def test_check_has_no_tolerance_option(capsys):
+    # the checks' tolerance is GEOM_TOL; an absolute tolerance is no option
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["check", "--instance", "lens-drift", "--tol", "1e-9"])
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
@@ -175,7 +178,7 @@ def test_check_calls_share_no_parsed_state(tmp_path, capsys):
         return code, capsys.readouterr().out, (out / "quadratic3x2_checks.json").read_bytes()
 
     reference = check("reference", "--samples", "512", "--seed", "0")
-    other = check("other", "--samples", "32", "--seed", "3", "--tol", "1e-9")
+    other = check("other", "--samples", "32", "--seed", "3")
     defaults = check("defaults")
     assert other != reference
     assert defaults == reference

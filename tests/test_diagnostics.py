@@ -26,8 +26,9 @@ from mflow import (
 )
 from mflow import diagnostics, geometry, splitting
 from mflow.cli import main
-from mflow.diagnostics import _in_cap_rows, _rd_batches
+from mflow.diagnostics import _rd_batches
 from mflow.dynamics import NonFiniteError
+from mflow.geometry import _cap_rows, haugazeau_rows
 
 from .oracles import cut
 
@@ -35,6 +36,19 @@ from .oracles import cut
 def _at(F, z, samples):
     """A map's values at ``z`` stacked on the samples, as the checks take them."""
     return F(np.vstack([z, samples]))
+
+
+def _tq(T, cap, samples):
+    """``T`` and the flow's ``Q(w, x, Tx)`` at the cap's ``z`` stacked on the samples."""
+    points = np.vstack([cap.z, samples])
+    tx = T(points)
+    return tx, haugazeau_rows(cap.w, points, tx)
+
+
+def _in_cap_rows(cap, rows):
+    """Mask of the rows that pass both of the cap's row tests."""
+    ball, floor = _cap_rows(cap, rows)
+    return ball & floor
 
 
 @pytest.fixture(scope="module")
@@ -311,10 +325,10 @@ class TestFieldCalls:
         _counted(monkeypatch, calls, geometry, "haugazeau_rows")
         _counted(monkeypatch, calls, VectorField, "__call__")
         argv = ["check", "--samples", "64", "--out", str(tmp_path), "--instance"]
-        # on a splitting instance T runs once and Q at most twice; F is Q - x
+        # on a splitting instance T and Q run once each; F is Q - x
         assert main(argv + ["quadratic3x2"]) == 0
         names = [name for name, _ in calls]
-        assert names.count("kt_apply_rows") == 1 and names.count("haugazeau_rows") <= 2
+        assert names.count("kt_apply_rows") == 1 and names.count("haugazeau_rows") == 1
         assert set(calls) == {("kt_apply_rows", (65, 5)), ("haugazeau_rows", (65, 5))}
         # a raw field runs once
         calls.clear()
@@ -335,19 +349,19 @@ class TestFieldCalls:
             with pytest.raises(error, match=match):
                 check(values, lens.cap, lens_samples)
         with pytest.raises(error, match=match):
-            check_unique_zero(values, lens.cap, lens.z, lens_samples)
+            check_unique_zero(values, lens.cap, lens_samples)
         with pytest.raises(error, match=match):
-            check_projection_conditions(values, lens.cap, lens_samples)
+            check_projection_conditions(values, values, lens.cap, lens_samples)
 
 
 class TestUniqueZero:
     def test_passes_on_drift_fixture(self, lens, lens_samples, lens_values):
-        rep = check_unique_zero(lens_values, lens.cap, lens.z, lens_samples)
+        rep = check_unique_zero(lens_values, lens.cap, lens_samples)
         assert rep.passed
 
     def test_everything_is_a_zero_fails(self, lens, lens_samples):
         zero = VectorField(fn=lambda x: np.zeros_like(x))
-        rep = check_unique_zero(_at(zero, lens.z, lens_samples), lens.cap, lens.z, lens_samples)
+        rep = check_unique_zero(_at(zero, lens.z, lens_samples), lens.cap, lens_samples)
         assert not rep.passed
         assert rep.witness is not None
 
@@ -355,7 +369,7 @@ class TestUniqueZero:
         named = get_instance("quadratic1d")
         F = build_field(named.instance, cap=named.cap)
         samples = sample_cap(named.cap, n_samples=128, seed=1)
-        rep = check_unique_zero(_at(F, named.z, samples), named.cap, named.z, samples)
+        rep = check_unique_zero(_at(F, named.z, samples), named.cap, samples)
         assert rep.passed
 
 
@@ -430,7 +444,7 @@ class TestProjectionConditions:
         named = get_instance("quadratic1d")
         T = fixed_point_operator("kuhn_tucker", instance=named.instance)
         samples = sample_cap(named.cap, n_samples=128, seed=3)
-        reports = check_projection_conditions(_at(T, named.z, samples), named.cap, samples)
+        reports = check_projection_conditions(*_tq(T, named.cap, samples), named.cap, samples)
         assert [r.name for r in reports] == [
             "projection_stationarity",
             "projection_range",
@@ -446,7 +460,7 @@ class TestProjectionConditions:
         cap = Cap(w, z, 0.25)
         T = fixed_point_operator("resolvent", op=L1())
         samples = sample_cap(cap, n_samples=128, seed=4)
-        reports = check_projection_conditions(_at(T, z, samples), cap, samples)
+        reports = check_projection_conditions(*_tq(T, cap, samples), cap, samples)
         assert all(r.passed for r in reports)
 
     def test_cut_excluding_solution_fails(self):
@@ -458,8 +472,8 @@ class TestProjectionConditions:
             return 2.0 * x - z
 
         samples = sample_cap(named.cap, n_samples=64, seed=5)
-        tx = _at(T, named.z, samples)
-        stationarity = check_projection_conditions(tx, named.cap, samples)[0]
+        tq = _tq(T, named.cap, samples)
+        stationarity = check_projection_conditions(*tq, named.cap, samples)[0]
         assert not stationarity.passed
         kinds = {rec["kind"] for rec in stationarity.violations}
         assert "reference_outside_cut" in kinds
@@ -468,10 +482,10 @@ class TestProjectionConditions:
         named = get_instance("quadratic3x2")
         F = build_field(named.instance, cap=named.cap)
         samples = np.vstack([named.z, sample_cap(named.cap, n_samples=32, seed=4)])
-        assert check_unique_zero(_at(F, named.z, samples), named.cap, named.z, samples).passed
+        assert check_unique_zero(_at(F, named.z, samples), named.cap, samples).passed
         T = fixed_point_operator("kuhn_tucker", instance=named.instance)
-        tx = _at(T, named.z, samples)
-        reports = check_projection_conditions(tx, named.cap, samples, tol=1e-6)
+        tq = _tq(T, named.cap, samples)
+        reports = check_projection_conditions(*tq, named.cap, samples, tol=1e-6)
         # z is its own fixed point; its spurious-fixed-point entry, 1e-6, is skipped
         assert reports[0].passed and reports[0].worst_violation < 1e-8
 
@@ -481,7 +495,7 @@ class TestProjectionConditions:
         samples = sample_cap(named.cap, n_samples=16, seed=5)
         nan = np.full((len(samples) + 1, named.z.shape[0]), np.nan)
         with pytest.raises(NonFiniteError, match="finite"):
-            check_projection_conditions(nan, named.cap, samples)
+            check_projection_conditions(nan, nan, named.cap, samples)
 
     def test_one_call_of_T_for_all_samples(self, tmp_path, monkeypatch):
         # mflow check calls T through kt_operator, which the benchmark traces,
@@ -500,8 +514,8 @@ class TestProjectionConditions:
         T = fixed_point_operator("kuhn_tucker", instance=named.instance)
         samples = sample_cap(named.cap, n_samples=128, seed=1)
         # at tolerance -inf every sample is listed, so every value is compared
-        tx = _at(T, named.z, samples)
-        alignment = check_projection_conditions(tx, named.cap, samples, tol=-np.inf)[2]
+        tq = _tq(T, named.cap, samples)
+        alignment = check_projection_conditions(*tq, named.cap, samples, tol=-np.inf)[2]
         drift = check_outward_drift(_at(F, named.z, samples), named.cap, samples, tol=-np.inf)
         assert alignment.worst_violation == drift.worst_violation
         assert alignment.witness.tobytes() == drift.witness.tobytes()

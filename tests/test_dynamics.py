@@ -1,5 +1,7 @@
+import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,14 +16,17 @@ from mflow import (
     euler_defect,
     euler_eval,
     euler_nodes,
-    fejer_slack,
     get_instance,
     integrate_field,
     kt_residual,
+    INSIDE_D_ONLY,
+    INSIDE_DHAT,
     OUTSIDE,
     quadratic_instance,
     solve,
 )
+
+from .oracles import fejer_slack
 
 
 def drift_field():
@@ -100,6 +105,38 @@ class TestEulerNodes:
         with pytest.warns(RuntimeWarning, match="left the admissible cap"):
             euler_nodes(named.field, [0.0, -1.0], 0.5, 4)
 
+    @pytest.mark.parametrize("tag", ["lens-drift", "box-flow", "quadratic3x2"])
+    def test_warned_node_is_the_first_per_point_exit(self, tag, rng, monkeypatch):
+        named = get_instance(tag)
+        cap = named.cap
+        F = named.field if named.instance is None else build_field(named.instance, cap=cap)
+        # the warning tests all nodes at once, with no per-node cap_membership call
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cap_membership(*args)
+
+        for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "mflow"]:
+            if vars(mod).get("cap_membership") is cap_membership:
+                monkeypatch.setattr(mod, "cap_membership", counted)
+        stayed = set()
+        for lam in np.repeat([1.0, 0.5, 0.1], 20):
+            x0 = cap.center + 1.1 * cap.radius * rng.uniform(-1.0, 1.0, cap.dim)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                nodes = euler_nodes(F, x0, lam, 20)
+            warned = [int(re.search(r"node (\d+) ", str(w.message))[1]) for w in caught]
+            # the first node that leaves the cap, or its ball when the start is below the floor
+            labels = [cap_membership(cap, x) for x in nodes]
+            bad = {OUTSIDE} if labels[0] != INSIDE_DHAT else {OUTSIDE, INSIDE_D_ONLY}
+            first = next((k for k in range(1, len(nodes)) if labels[k] in bad), None)
+            assert warned == ([] if first is None else [first])
+            stayed.add(first is None)
+        assert calls == []
+        # runs that leave and runs that stay are both drawn
+        assert stayed == {True, False}
+
 
 class TestEulerEval:
     def test_interior_point(self):
@@ -107,10 +144,13 @@ class TestEulerEval:
         assert euler_eval(nodes, 0.5, 0.75) == pytest.approx([0.625, -1.0])
 
     def test_left_endpoint_and_knots(self):
-        nodes = euler_nodes(drift_field(), [0.0, -1.0], 0.5, 3)
-        assert np.array_equal(euler_eval(nodes, 0.5, 0.0), nodes[0])
-        for k in range(4):
-            assert np.array_equal(euler_eval(nodes, 0.5, 0.5 * k), nodes[k])
+        F = get_instance("lens-drift").extended_field
+        # at lam = 0.1, (3 lam) / lam and (6 lam) / lam round off the integers
+        for lam in (0.5, 0.1, 0.05):
+            nodes = euler_nodes(F, [0.0, -1.0], lam, 10)
+            assert np.array_equal(euler_eval(nodes, lam, 0.0), nodes[0])
+            for k in range(11):
+                assert np.array_equal(euler_eval(nodes, lam, k * lam), nodes[k]), (lam, k)
 
     def test_out_of_range(self):
         nodes = euler_nodes(drift_field(), [0.0, -1.0], 0.5, 3)
@@ -412,7 +452,7 @@ class TestRecordColumns:
                 np.linalg.norm(x - cap.w), rel=1e-12, abs=1e-12
             )
             assert traj.fejer_slack[k] == pytest.approx(
-                fejer_slack(cap, x), rel=1e-12, abs=1e-12
+                fejer_slack(cap.w, cap.z, x), rel=1e-12, abs=1e-12
             )
             step = 0.0 if k == 0 else np.linalg.norm(x - pts[k - 1])
             assert traj.step_norm[k] == pytest.approx(step, rel=1e-12, abs=1e-12)

@@ -14,7 +14,6 @@ from mflow import (
     INSIDE_DHAT,
     OUTSIDE,
     cap_membership,
-    fejer_slack,
     haugazeau_projection,
     project_onto_halfspaces,
     sample_cap,
@@ -391,11 +390,3 @@ class TestCap:
         assert cap_membership(cap, cap.w) == INSIDE_D_ONLY
         assert cap_membership(cap, [0.0, 1.0]) == INSIDE_DHAT
         assert cap_membership(cap, [2.0, 0.0]) == OUTSIDE
-
-    def test_fejer_slack_examples(self):
-        cap = Cap([-1.0, 0.0], [1.0, 0.0], 0.5)
-        assert fejer_slack(cap, cap.z) == 0.0
-        assert fejer_slack(cap, cap.w) == 0.0
-        assert fejer_slack(cap, [0.0, 1.0]) == pytest.approx(0.0, abs=1e-14)
-        # interior points of the spanned ball have positive slack
-        assert fejer_slack(cap, [0.0, 0.0]) > 0.0
