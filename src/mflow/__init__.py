@@ -7,7 +7,6 @@ Kuhn-Tucker pairs of the inclusion ``0 in A p + L* B L p``.
 """
 
 from .diagnostics import (
-    AssumptionReport,
     check_cap_invariance,
     check_outward_drift,
     check_projection_conditions,
@@ -46,10 +45,8 @@ from .operators import (
     MonotoneOperator,
     Quadratic,
     Zero,
-    operator_from_config,
 )
 from .problems import (
-    NamedInstance,
     builtin_tags,
     get_instance,
     lasso_instance,
@@ -66,7 +63,6 @@ from .splitting import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport",
     "BallNormalCone",
     "BoxNormalCone",
     "Cap",
@@ -78,7 +74,6 @@ __all__ = [
     "LinearMap",
     "LinearMonotone",
     "MonotoneOperator",
-    "NamedInstance",
     "NonFiniteError",
     "OUTSIDE",
     "PDPoint",
@@ -106,7 +101,6 @@ __all__ = [
     "kt_operator",
     "kt_residual",
     "lasso_instance",
-    "operator_from_config",
     "project_onto_halfspaces",
     "quadratic_instance",
     "sample_cap",

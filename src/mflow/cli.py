@@ -71,17 +71,32 @@ def _parse_lambdas(raw):
     return values
 
 
+def _integral(value):
+    # a JSON number with no fractional part (1000 or 1e3); int() would truncate 16.7
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value):
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 # Run-config keys: (JSON key, argument attribute, conversion of the JSON value).
 _RUN_SETTINGS = (
     ("instance", "instance", None),
     ("mode", "mode", _mode),
     ("lambda", "lam", _parse_lambdas),
-    ("max_iter", "max_iter", int),
-    ("tol_residual", "tol_residual", float),
-    ("tol_step", "tol_step", float),
-    ("seed", "seed", int),
+    ("max_iter", "max_iter", _integral),
+    ("tol_residual", "tol_residual", _real),
+    ("tol_step", "tol_step", _real),
+    ("seed", "seed", _integral),
     ("out", "out", str),
-    ("samples", "samples", int),
+    ("samples", "samples", _integral),
 )
 
 
@@ -251,8 +266,8 @@ def cmd_check(args):
         raise ConfigError(
             f"instance {named.tag!r} has no solution/cap attached; checks need both"
         )
-    n_samples = int(args.samples if args.samples is not None else 512)
-    seed = int(args.seed if args.seed is not None else 0)
+    n_samples = 512 if args.samples is None else args.samples
+    seed = 0 if args.seed is None else args.seed
     _positive("samples", n_samples)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")

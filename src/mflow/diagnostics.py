@@ -163,21 +163,21 @@ def _report(name, tol, sample_count, violation, points, extra, notes=""):
     )
 
 
-def check_unique_zero(values, cap, samples, tol=GEOM_TOL):
+def check_unique_zero(values, cap, samples):
     """Check that the cap's reference point ``z`` is the field's only stationary point on it.
 
-    ``values`` are the field's values at ``[z; samples]``.  Passes when
-    ``||F(z)|| <= tol`` and every sample at distance more than ``10 tol``
-    from ``z`` has ``||F|| > tol``.  The violation at a sample is
-    ``tol - ||F(x)||`` (positive means a spurious zero).
+    ``values`` are the field's values at ``[z; samples]``.  With ``tol`` the
+    fixed :data:`GEOM_TOL`, passes when ``||F(z)|| <= tol`` and every sample
+    at distance more than ``10 tol`` from ``z`` has ``||F|| > tol``.  The
+    violation at a sample is ``tol - ||F(x)||`` (positive means a spurious zero).
     """
     z = cap.z
     samples = np.asarray(samples, dtype=float)
     values = _checked_values(values, samples)
-    keep = np.concatenate([[True], _norms(samples - z) >= 10.0 * tol])
+    keep = np.concatenate([[True], _norms(samples - z) >= 10.0 * GEOM_TOL])
     points = np.vstack([z, samples])[keep]
     field_norms = _norms(values[keep])
-    violation = np.concatenate([field_norms[:1] - tol, tol - field_norms[1:]])
+    violation = np.concatenate([field_norms[:1] - GEOM_TOL, GEOM_TOL - field_norms[1:]])
 
     def extra(i):
         if i == 0:
@@ -196,7 +196,7 @@ def check_unique_zero(values, cap, samples, tol=GEOM_TOL):
     )
 
 
-def check_cap_invariance(values, cap, samples, tol=GEOM_TOL):
+def check_cap_invariance(values, cap, samples):
     """Check that the segments ``x + h F(x)`` stay inside the cap.
 
     ``values`` are the field's values at ``[z; samples]``.  For each sample
@@ -225,7 +225,7 @@ def check_cap_invariance(values, cap, samples, tol=GEOM_TOL):
 
     return _report(
         "cap_invariance",
-        tol,
+        GEOM_TOL,
         len(samples),
         violation,
         np.repeat(samples, len(steps), axis=0),
@@ -234,7 +234,7 @@ def check_cap_invariance(values, cap, samples, tol=GEOM_TOL):
     )
 
 
-def check_outward_drift(values, cap, samples, tol=GEOM_TOL):
+def check_outward_drift(values, cap, samples):
     """Check ``<F(x), w - x> <= 0`` on the cap.
 
     ``values`` are the field's values at ``[z; samples]``.  This is the sign
@@ -243,27 +243,26 @@ def check_outward_drift(values, cap, samples, tol=GEOM_TOL):
     """
     samples = np.asarray(samples, dtype=float)
     violation = np.vecdot(_checked_values(values, samples)[1:], cap.w - samples)
-    return _report("outward_drift", tol, len(samples), violation, samples, None)
+    return _report("outward_drift", GEOM_TOL, len(samples), violation, samples, None)
 
 
-def check_projection_conditions(tx, q, cap, samples, tol=GEOM_TOL):
+def check_projection_conditions(tx, q, cap, samples):
     """Verify the moving-projection conditions for ``C(x) = H(w, x) & H(x, Tx)``.
 
     ``tx`` are the values of ``T`` at ``[z; samples]``, with ``z`` the cap's
     reference point, and ``q`` the projections of ``w`` onto ``C(x)`` there:
     the flow's own ``Q(w, x, Tx)``, so that ``q - x`` is the flow field's value
-    bit for bit.  Four reports come back:
+    bit for bit (its sign condition is :func:`check_outward_drift`'s).  Two
+    reports come back, at the fixed tolerance ``tol =`` :data:`GEOM_TOL`:
 
     * ``projection_stationarity``: the reference point belongs to every
       ``C(x)``, the projection of ``w`` fixes no sampled ``x`` away from the
       reference, and it does fix the reference itself;
     * ``projection_range``: the projection of ``w`` stays inside the
-      enclosing ball;
-    * ``projection_alignment``: ``<P(x) - x, w - x> <= 0``;
-    * ``projection_convexity``: structural (halfspace intersections are
-      closed convex), reported as verified by construction.
+      enclosing ball.
     """
     w, z = cap.w, cap.z
+    tol = GEOM_TOL
     samples = np.asarray(samples, dtype=float)
     k = len(samples)
     scale = 1.0 + float(np.linalg.norm(w - z))
@@ -289,7 +288,7 @@ def check_projection_conditions(tx, q, cap, samples, tol=GEOM_TOL):
             return {"kind": "reference_outside_cut"}
         return {"kind": "spurious_fixed_point", "moved": float(moved[row[i - 1]])}
 
-    reports = [
+    return [
         _report(
             "projection_stationarity",
             tol,
@@ -306,24 +305,7 @@ def check_projection_conditions(tx, q, cap, samples, tol=GEOM_TOL):
             samples,
             lambda i: {"projection": proj[i]},
         ),
-        _report(
-            "projection_alignment",
-            tol,
-            k,
-            np.vecdot(proj - samples, w - samples),
-            samples,
-            None,
-        ),
-        AssumptionReport(
-            name="projection_convexity",
-            passed=True,
-            sample_count=0,
-            worst_violation=-np.inf,
-            notes="intersections of at most two halfspaces are closed and convex "
-            "by construction",
-        ),
     ]
-    return reports
 
 
 def convergence_report(traj, z, w):

@@ -101,12 +101,36 @@ class TestConfig:
     "command, instance, key, value",
     [
         ("solve", "quadratic1d", "max_iter", "abc"),
+        ("solve", "quadratic1d", "max_iter", 10.9),
+        ("solve", "quadratic1d", "max_iter", "10"),
+        ("solve", "quadratic1d", "max_iter", True),
         ("solve", "quadratic1d", "tol_residual", [1e-3]),
+        ("solve", "quadratic1d", "tol_residual", True),
+        ("solve", "quadratic1d", "tol_step", False),
         ("solve", "quadratic1d", "mode", "nope"),
         ("check", "quadratic1d", "samples", "many"),
+        ("check", "quadratic1d", "samples", 16.7),
+        ("check", "quadratic1d", "samples", True),
+        ("check", "quadratic1d", "seed", 0.5),
+        ("check", "quadratic1d", "seed", False),
         ("integrate", "lens-drift", "lambda", ["x"]),
     ],
-    ids=["max_iter", "tol_residual", "mode", "samples", "lambda"],
+    ids=[
+        "max_iter",
+        "max_iter_fraction",
+        "max_iter_string",
+        "max_iter_bool",
+        "tol_residual",
+        "tol_residual_bool",
+        "tol_step_bool",
+        "mode",
+        "samples",
+        "samples_fraction",
+        "samples_bool",
+        "seed_fraction",
+        "seed_bool",
+        "lambda",
+    ],
 )
 def test_run_config_value_of_wrong_type_exit_one(
     tmp_path, capsys, command, instance, key, value
@@ -118,6 +142,18 @@ def test_run_config_value_of_wrong_type_exit_one(
     assert code == 1
     assert err.startswith("error: ")
     assert repr(key) in err and "run.json" in err
+
+
+def test_run_config_integral_float_is_an_integer(tmp_path):
+    # 1.6e1 and 7.0 are the integers 16 and 7, as JSON writes them
+    cfg = tmp_path / "run.json"
+    doc = {"instance": "quadratic1d", "samples": 1.6e1, "seed": 7.0}
+    cfg.write_text(json.dumps(doc | {"out": str(tmp_path / "config")}))
+    assert main(["check", "--config", str(cfg)]) == 0
+    argv = ["check", "--instance", "quadratic1d", "--samples", "16", "--seed", "7"]
+    assert main(argv + ["--out", str(tmp_path / "flags")]) == 0
+    name = "quadratic1d_checks.json"
+    assert (tmp_path / "config" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -530,6 +566,23 @@ class TestIntegrateCommand:
 
 
 class TestCheckCommand:
+    @pytest.mark.parametrize("tag", ["quadratic1d", "quadratic3x2", "lasso1d", "lasso3x2"])
+    def test_reports_are_strict_json(self, tmp_path, tag):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        argv = ["check", "--instance", tag, "--samples", "64", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        text = (tmp_path / f"{tag}_checks.json").read_text()
+        reports = json.loads(text, parse_constant=reject)
+        assert [r["name"] for r in reports] == [
+            "unique_zero",
+            "cap_invariance",
+            "outward_drift",
+            "projection_stationarity",
+            "projection_range",
+        ]
+
     def test_drift_fixture_fails_invariance(self, tmp_path, capsys):
         code = main(
             ["check", "--instance", "lens-drift", "--seed", "0", "--out", str(tmp_path)]

@@ -11,8 +11,8 @@ from mflow import (
     LinearMonotone,
     Quadratic,
     Zero,
-    operator_from_config,
 )
+from mflow.operators import operator_from_config
 
 
 def catalog_samples():
