@@ -29,9 +29,6 @@ from .geometry import (
     Cap,
     EmptyIntersectionError,
     GEOM_TOL,
-    INSIDE_D_ONLY,
-    INSIDE_DHAT,
-    OUTSIDE,
     cap_membership,
     haugazeau_projection,
     project_onto_halfspaces,
@@ -68,14 +65,11 @@ __all__ = [
     "Cap",
     "EmptyIntersectionError",
     "GEOM_TOL",
-    "INSIDE_DHAT",
-    "INSIDE_D_ONLY",
     "L1",
     "LinearMap",
     "LinearMonotone",
     "MonotoneOperator",
     "NonFiniteError",
-    "OUTSIDE",
     "PDPoint",
     "ProblemInstance",
     "Quadratic",

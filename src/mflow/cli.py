@@ -139,6 +139,8 @@ def cmd_solve(args):
     lam = args.lam
     if mode == "euler" and lam is None:
         raise ConfigError("euler mode requires --lambda")
+    if mode != "euler" and lam is not None:
+        raise ConfigError("--lambda is a step size of euler mode; add --mode euler")
     # only the settings given are passed on; dynamics.solve holds the defaults
     stops = {
         key: getattr(args, key)
@@ -384,7 +386,13 @@ def build_parser():
 def main(argv=None):
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a malformed command line; 2 here means an incomplete run
+        if exc.code != 2:
+            raise
+        return EXIT_CONFIG
     try:
         return args.fn(args)
     except ConfigError as exc:

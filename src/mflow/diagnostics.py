@@ -11,13 +11,12 @@ each map once (see :func:`build_field`); the values are checked for shape
 and finiteness.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import NonFiniteError
-from .geometry import GEOM_TOL, INSIDE_DHAT, _cap_rows, cap_membership
+from .dynamics import NonFiniteError, _integer
+from .geometry import GEOM_TOL, cap_membership
 from .space import as_vector
 
 __all__ = [
@@ -79,21 +78,20 @@ def sample_cap(cap, n_samples=512, seed=0):
     """Low-discrepancy points inside the cap.
 
     A uniformly shifted R_d sequence (:func:`_rd_batches`; shift drawn from ``seed``,
-    Cranley & Patterson 1976) fills the bounding box of the cap's ball.  Each candidate that
-    passes both row tests of the cap is kept if it also passes :func:`cap_membership`,
-    until ``n_samples`` survive.
+    Cranley & Patterson 1976) fills the bounding box of the cap's ball.  Each batch is
+    tested as a stack by :func:`cap_membership`, and each row in the cap is kept if the
+    one-point test confirms it, until ``n_samples`` survive.
     """
-    integral = isinstance(n_samples, numbers.Integral) and not isinstance(n_samples, bool)
-    if not (integral and n_samples > 0):
+    if not (_integer(n_samples) and n_samples > 0):
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
     shift = np.random.default_rng(seed).random(cap.dim)
     center, radius = cap.center, cap.radius
     kept = []
     for batch in _rd_batches(shift, max(n_samples, 64)):
         candidates = center + radius * (2.0 * batch - 1.0)
-        ball, floor = _cap_rows(cap, candidates)
+        ball, floor = cap_membership(cap, candidates)
         for x in candidates[ball & floor]:
-            if cap_membership(cap, x) == INSIDE_DHAT:
+            if all(cap_membership(cap, x)):
                 kept.append(x)
                 if len(kept) == n_samples:
                     return np.array(kept)
@@ -119,6 +117,9 @@ def _rd_batches(shift, size):
 
 def _checked_values(values, samples):
     """A map's values at ``[z; samples]`` as floats, checked for shape and finiteness."""
+    # over no samples a check would pass on nothing, with worst_violation -inf
+    if len(samples) == 0:
+        raise ValueError("a check needs at least one sample")
     values = np.asarray(values, dtype=float)
     shape = (len(samples) + 1, samples.shape[1])
     if values.shape != shape:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Cap, _cap_rows, haugazeau_projection, haugazeau_rows
+from .geometry import Cap, cap_membership, haugazeau_projection, haugazeau_rows
 from .space import as_vector
 from .splitting import kt_apply_flat, kt_apply_rows
 
@@ -120,12 +120,17 @@ class Trajectory:
                 fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
+def _integer(n):
+    """Whether ``n`` is an integer, a bool excluded."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
 def _check_step(lam, n_steps=0):
     """Reject a step size outside (0, 1] or a step count that is not an integer >= 0."""
     if lam is None or not 0.0 < lam <= 1.0:
         raise ValueError(f"step size must lie in (0, 1], got {lam}")
-    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
-        raise ValueError(f"number of steps must be a non-negative integer, got {n_steps}")
+    if not _integer(n_steps) or n_steps < 0:
+        raise ValueError(f"number of steps must be a non-negative integer, got {n_steps!r}")
 
 
 def _iterate(advance, x, max_steps, tol_residual=-math.inf, tol_step=-math.inf):
@@ -192,7 +197,7 @@ def _euler(F, x0, lam, n_steps):
     nodes = np.array(points)
     cap = getattr(F, "cap", None)
     if cap is not None:
-        ball, floor = _cap_rows(cap, nodes)
+        ball, floor = cap_membership(cap, nodes)
         # the floor exclusion only binds for runs started inside the admissible
         # cap; the discrete scheme legitimately starts at the anchor below it
         inside = ball & floor if ball[0] and floor[0] else ball
@@ -330,11 +335,12 @@ def solve(
         At ``lam = 1`` the Euler step evaluates the projection directly, so
         the two modes produce identical trajectories.
     lam : float, optional
-        Euler step size, required for ``mode="euler"``.
+        Euler step size, required for ``mode="euler"`` and rejected otherwise.
     max_iter : int
-        Iteration budget.
+        Iteration budget, a positive integer (not a bool).
     tol_residual : float
-        Stop once the fixed-point residual ``||Tx - x||`` falls below this.
+        Stop once the fixed-point residual ``||Tx - x||`` falls below this;
+        finite and positive, as is ``tol_step``.
     tol_step : float
         Stop once the iterate displacement falls below this.
     z : array_like, optional
@@ -358,9 +364,16 @@ def solve(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "euler":
         _check_step(lam)
-    # written so that a NaN criterion fails too
-    if not (max_iter > 0 and tol_residual > 0 and tol_step > 0):
-        raise ValueError("stop criteria must be strictly positive")
+    elif lam is not None:
+        raise ValueError(f"a step size is only used in euler mode, got lam={lam!r}")
+    if not (_integer(max_iter) and max_iter > 0):
+        raise ValueError(f"stop criteria: max_iter must be a positive integer, got {max_iter!r}")
+    # the chained comparisons also reject NaN
+    if not (0 < tol_residual < math.inf and 0 < tol_step < math.inf):
+        raise ValueError(
+            f"stop criteria: tolerances must be finite and positive, "
+            f"got tol_residual={tol_residual!r}, tol_step={tol_step!r}"
+        )
 
     w_flat = inst.w.flat
     z_flat = None if z is None else as_vector(z)

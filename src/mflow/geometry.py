@@ -19,18 +19,11 @@ __all__ = [
     "haugazeau_projection",
     "haugazeau_rows",
     "Cap",
-    "INSIDE_DHAT",
-    "INSIDE_D_ONLY",
-    "OUTSIDE",
     "cap_membership",
 ]
 
 # Global geometric tolerance for feasibility / emptiness classification.
 GEOM_TOL = 1e-10
-
-INSIDE_DHAT = "inside_Dhat"
-INSIDE_D_ONLY = "inside_D_only"
-OUTSIDE = "outside"
 
 
 class EmptyIntersectionError(RuntimeError):
@@ -272,31 +265,20 @@ class Cap:
 
 
 def cap_membership(cap, x):
-    """Classify ``x`` against the cap.
+    """Test ``x``, one point or a ``(k, dim)`` stack of them, against the cap.
 
-    Returns :data:`INSIDE_DHAT` when both the ball test
-    ``<z - x, w - x> <= GEOM_TOL`` and the floor test
-    ``||x - w||^2 >= r - GEOM_TOL`` hold, :data:`INSIDE_D_ONLY` when only
-    the ball test holds, and :data:`OUTSIDE` otherwise, also for a NaN point.
+    Returns ``(ball, floor)``: the ball test ``<z - x, w - x> <= GEOM_TOL``
+    and the floor test ``||w - x||^2 >= r - GEOM_TOL``, two bools for one
+    point and two masks, one entry per row, for a stack.  ``x`` is in the cap
+    where both hold.  Each row's dot products are row vecdots, which equal the
+    ``.dot`` of that row alone bit for bit, so every row gets the one-point
+    result.  Both tests are comparisons that a NaN fails.
     """
+    x = np.asarray(x)
+    if x.ndim == 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            to_w = cap.w - x
+            ball = np.vecdot(cap.z - x, to_w) <= GEOM_TOL
+            return ball, np.vecdot(to_w, to_w) >= cap.r - GEOM_TOL
     to_w = cap.w - x
-    if not float((cap.z - x).dot(to_w)) <= GEOM_TOL:
-        return OUTSIDE
-    # ||w - x||^2 equals ||x - w||^2 exactly; _cap_rows' row vecdot gives the same bits
-    if float(to_w.dot(to_w)) < cap.r - GEOM_TOL:
-        return INSIDE_D_ONLY
-    return INSIDE_DHAT
-
-
-def _cap_rows(cap, x):
-    """:func:`cap_membership`'s ball test and floor test on every row of ``x``, as two masks.
-
-    The tests are its own expressions, each dot product a row vecdot that equals
-    its ``.dot`` of one point bit for bit, so a row is :data:`INSIDE_DHAT` where
-    both masks hold, :data:`OUTSIDE` where the ball mask fails, NaN rows included.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        to_w = cap.w - x
-        ball = np.vecdot(cap.z - x, to_w) <= GEOM_TOL
-        floor = np.vecdot(to_w, to_w) >= cap.r - GEOM_TOL
-    return ball, floor
+    return float((cap.z - x).dot(to_w)) <= GEOM_TOL, float(to_w.dot(to_w)) >= cap.r - GEOM_TOL

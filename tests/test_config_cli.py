@@ -203,6 +203,28 @@ def test_check_has_no_tolerance_option(capsys):
     assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--instance", "quadratic1d", "--max-iter", "abc"],
+        ["check", "--samples", "1.5"],
+        ["bogus"],
+    ],
+    ids=["max_iter_not_int", "samples_not_int", "unknown_command"],
+)
+def test_malformed_command_line_exit_one(capsys, argv):
+    # argparse's own status 2 would read as an exhausted budget or a failed check
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mflow")
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
@@ -446,6 +468,24 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert "bad.json:1" in err
+
+    @pytest.mark.parametrize(
+        "flags, doc",
+        [
+            (["--lambda", "0.5"], {}),
+            (["--mode", "discrete", "--lambda", "0.5"], {}),
+            ([], {"lambda": 0.5}),
+            ([], {"mode": "discrete", "lambda": 0.5}),
+        ],
+        ids=["flag", "flag_discrete", "run_document", "run_document_discrete"],
+    )
+    def test_lambda_without_euler_mode_exit_one(self, tmp_path, capsys, flags, doc):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"instance": "quadratic3x2", "max_iter": 10} | doc))
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path), *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.glob("quadratic3x2_*"))
 
     def test_raw_field_instance_rejected(self, tmp_path):
         code = main(["solve", "--instance", "lens-drift", "--out", str(tmp_path)])

@@ -6,10 +6,7 @@ import pytest
 from mflow import (
     Cap,
     GEOM_TOL,
-    INSIDE_D_ONLY,
-    INSIDE_DHAT,
     L1,
-    OUTSIDE,
     VectorField,
     build_field,
     builtin_tags,
@@ -28,7 +25,7 @@ from mflow import diagnostics, geometry, splitting
 from mflow.cli import main
 from mflow.diagnostics import _rd_batches
 from mflow.dynamics import NonFiniteError
-from mflow.geometry import _cap_rows, haugazeau_rows
+from mflow.geometry import haugazeau_rows
 
 from .oracles import cut
 
@@ -46,8 +43,8 @@ def _tq(T, cap, samples):
 
 
 def _in_cap_rows(cap, rows):
-    """Mask of the rows that pass both of the cap's row tests."""
-    ball, floor = _cap_rows(cap, rows)
+    """Mask of the rows that pass both of the cap's tests, taken on the stack."""
+    ball, floor = cap_membership(cap, rows)
     return ball & floor
 
 
@@ -70,7 +67,7 @@ class TestSampleCap:
     def test_membership_and_count(self, lens, lens_samples):
         assert lens_samples.shape == (512, 2)
         for x in lens_samples:
-            assert cap_membership(lens.cap, x) == INSIDE_DHAT
+            assert cap_membership(lens.cap, x) == (True, True)
 
     @pytest.mark.parametrize("n_samples", [0, -3, 2.5, True, "8"])
     def test_rejects_non_positive_integer(self, lens, n_samples):
@@ -111,7 +108,7 @@ def _unscreened_sample_cap(cap, n_samples, seed):
     kept = []
     for batch in _rd_batches(shift, max(n_samples, 64)):
         for x in cap.center + cap.radius * (2.0 * batch - 1.0):
-            if cap_membership(cap, x) == INSIDE_DHAT:
+            if all(cap_membership(cap, x)):
                 kept.append(x)
                 if len(kept) == n_samples:
                     return np.array(kept)
@@ -185,10 +182,10 @@ class TestFloorScreen:
         unit = (np.vstack([near, deep]) - cap.center) / cap.radius
         rows = cap.center + cap.radius * unit
         kept = _in_cap_rows(cap, rows)
-        labels = [cap_membership(cap, x) for x in rows]
-        assert kept.tolist() == [label == INSIDE_DHAT for label in labels]
+        tests = [cap_membership(cap, x) for x in rows]
+        assert kept.tolist() == [all(t) for t in tests]
         # both sides of the floor are drawn, and the row test drops rows inside it
-        assert kept.any() and INSIDE_D_ONLY in labels
+        assert kept.any() and (True, False) in tests
         assert not kept[len(near):].any()
 
     def test_row_test_equals_cap_membership(self, rng):
@@ -207,15 +204,20 @@ class TestFloorScreen:
         inf, nan = np.inf, np.nan
         cap = Cap([1.0, 0.0], [-1.0, 0.0], 0.5)
         non_finite = (cap, np.array([[nan, 0.0], [inf, 0.0], [-inf, inf], [0.0, -inf], [nan, inf]]))
-        labels = set()
+        seen = set()
         for i, (cap, rows) in enumerate(cases + [non_finite]):
             with np.errstate(over="ignore", invalid="ignore"):
                 arbiter = [cap_membership(cap, x) for x in rows]
-            labels.update(arbiter)
-            kept = _in_cap_rows(cap, rows)
-            assert kept.tolist() == [label == INSIDE_DHAT for label in arbiter], f"case {i}"
-        assert labels == {OUTSIDE, INSIDE_D_ONLY, INSIDE_DHAT}
-        # both tests call every non-finite row outside
+            seen.update(arbiter)
+            ball, floor = cap_membership(cap, rows)
+            assert list(zip(ball.tolist(), floor.tolist())) == arbiter, f"case {i}"
+        # rows outside the ball, inside it below the floor, and in the cap are all drawn
+        assert {(ball, ball and floor) for ball, floor in seen} == {
+            (False, False),
+            (True, False),
+            (True, True),
+        }
+        # both forms call every non-finite row outside
         assert not _in_cap_rows(*non_finite).any()
 
     def test_floor_at_a_row_whose_add_reduce_rounds_low(self, rng):
@@ -234,44 +236,45 @@ class TestFloorScreen:
         cap = Cap(w, z, r)
         assert reduced[i] < cap.r - GEOM_TOL
         assert _in_cap_rows(cap, rows[i : i + 1]).tolist() == [True]
-        assert cap_membership(cap, rows[i]) == INSIDE_DHAT
+        assert cap_membership(cap, rows[i]) == (True, True)
 
     def test_non_finite_rows_are_dropped(self):
         cap = get_instance("quadratic3x2").cap
-        assert cap_membership(cap, np.full(5, np.nan)) == OUTSIDE
-        # the center is inside; one NaN or infinite entry puts a row outside
+        assert cap_membership(cap, np.full(5, np.nan)) == (False, False)
+        # the center is inside; one NaN or infinite entry puts a row outside the ball
         rows = np.tile(cap.center, (4, 1))
         rows[1, 0], rows[2, 3], rows[3, 4] = np.nan, np.inf, -np.inf
         with np.errstate(invalid="ignore"):
-            labels = [cap_membership(cap, x) for x in rows]
-        assert labels == [INSIDE_DHAT, OUTSIDE, OUTSIDE, OUTSIDE]
-        assert _in_cap_rows(cap, rows).tolist() == [True, False, False, False]
+            tests = [cap_membership(cap, x) for x in rows]
+        assert tests == [(True, True), (False, False), (False, True), (False, True)]
+        ball, floor = cap_membership(cap, rows)
+        assert list(zip(ball.tolist(), floor.tolist())) == tests
 
     @pytest.mark.parametrize("seed", [0, 104729])
     @pytest.mark.parametrize("tag", ["quadratic3x2", "lasso3x2", "box-flow"])
     def test_one_exact_test_per_accepted_sample(self, tag, seed, monkeypatch):
-        labels = []
+        calls = []
 
         def counted(cap, x):
-            labels.append(cap_membership(cap, x))
-            return labels[-1]
+            calls.append((np.ndim(x), cap_membership(cap, x)))
+            return calls[-1][1]
 
         monkeypatch.setattr(diagnostics, "cap_membership", counted)
         samples = sample_cap(get_instance(tag).cap, n_samples=512, seed=seed)
-        assert len(samples) == len(labels) == 512
-        assert set(labels) == {INSIDE_DHAT}
+        # the R_d batches are screened as stacks; only the one-point confirmations count
+        one_point = [t for ndim, t in calls if ndim == 1]
+        assert {ndim for ndim, _ in calls} == {1, 2}
+        assert len(samples) == len(one_point) == 512
+        assert set(one_point) == {(True, True)}
 
 
 def _old_membership(cap, x):
-    """cap_membership as written before it shared the difference ``w - x``.
+    """cap_membership's two tests as written before they shared the difference ``w - x``.
 
     Its floor sum is the dot product that cap_membership takes, of ``x - w``.
     """
-    if float((cap.z - x) @ (cap.w - x)) > GEOM_TOL:
-        return OUTSIDE
-    if float((x - cap.w) @ (x - cap.w)) < cap.r - GEOM_TOL:
-        return INSIDE_D_ONLY
-    return INSIDE_DHAT
+    ball = not float((cap.z - x) @ (cap.w - x)) > GEOM_TOL
+    return ball, not float((x - cap.w) @ (x - cap.w)) < cap.r - GEOM_TOL
 
 
 def _near_radius(rng, center, radius, count):
@@ -290,12 +293,17 @@ def test_membership_matches_old_formula(tag, rng):
     # the two decision boundaries: the ball test and the floor test
     ball = _near_radius(rng, cap.center, np.sqrt(cap.radius**2 + GEOM_TOL), 500)
     floor = _near_radius(rng, cap.w, np.sqrt(cap.r - GEOM_TOL), 500)
-    labels = set()
+    seen = set()
     for x in np.vstack([box, ball, floor]):
-        label = cap_membership(cap, x)
-        assert label == _old_membership(cap, x), x
-        labels.add(label)
-    assert labels == {OUTSIDE, INSIDE_D_ONLY, INSIDE_DHAT}
+        tests = cap_membership(cap, x)
+        assert tests == _old_membership(cap, x), x
+        seen.add(tests)
+    # rows outside the ball, inside it below the floor, and in the cap are all drawn
+    assert {(ball, ball and floor) for ball, floor in seen} == {
+        (False, False),
+        (True, False),
+        (True, True),
+    }
 
 
 def _counted(monkeypatch, calls, owner, name):
@@ -352,6 +360,19 @@ class TestFieldCalls:
             check_unique_zero(values, lens.cap, lens_samples)
         with pytest.raises(error, match=match):
             check_projection_conditions(values, values, lens.cap, lens_samples)
+
+    def test_empty_sample_stack_rejected(self, lens):
+        # over no samples each check would pass, with worst_violation -inf
+        none = np.empty((0, 2))
+        at_z = lens.field(np.array([lens.z]))
+        for check in (check_unique_zero, check_cap_invariance, check_outward_drift):
+            with pytest.raises(ValueError, match="at least one sample"):
+                check(at_z, lens.cap, none)
+        named = get_instance("quadratic3x2")
+        none = np.empty((0, named.cap.dim))
+        T = fixed_point_operator("kuhn_tucker", instance=named.instance)
+        with pytest.raises(ValueError, match="at least one sample"):
+            check_projection_conditions(*_tq(T, named.cap, none), named.cap, none)
 
 
 class TestUniqueZero:

@@ -19,9 +19,6 @@ from mflow import (
     get_instance,
     integrate_field,
     kt_residual,
-    INSIDE_D_ONLY,
-    INSIDE_DHAT,
-    OUTSIDE,
     quadratic_instance,
     solve,
 )
@@ -78,7 +75,7 @@ class TestEulerNodes:
         with pytest.raises(ValueError):
             euler_nodes(drift_field(), [0.0, 0.0], 1.5, 3)
 
-    @pytest.mark.parametrize("n_steps", [-1, 2.5])
+    @pytest.mark.parametrize("n_steps", [-1, 2.5, True])
     def test_step_count_must_be_natural(self, n_steps):
         with pytest.raises(ValueError, match="number of steps"):
             euler_nodes(drift_field(), [0.0, 0.0], 0.5, n_steps)
@@ -110,7 +107,7 @@ class TestEulerNodes:
         named = get_instance(tag)
         cap = named.cap
         F = named.field if named.instance is None else build_field(named.instance, cap=cap)
-        # the warning tests all nodes at once, with no per-node cap_membership call
+        # the warning tests all nodes at once: one cap_membership call on the stack of nodes
         calls = []
 
         def counted(*args):
@@ -128,12 +125,12 @@ class TestEulerNodes:
                 nodes = euler_nodes(F, x0, lam, 20)
             warned = [int(re.search(r"node (\d+) ", str(w.message))[1]) for w in caught]
             # the first node that leaves the cap, or its ball when the start is below the floor
-            labels = [cap_membership(cap, x) for x in nodes]
-            bad = {OUTSIDE} if labels[0] != INSIDE_DHAT else {OUTSIDE, INSIDE_D_ONLY}
-            first = next((k for k in range(1, len(nodes)) if labels[k] in bad), None)
+            tests = [cap_membership(cap, x) for x in nodes]
+            inside = [all(t) if all(tests[0]) else t[0] for t in tests]
+            first = next((k for k in range(1, len(nodes)) if not inside[k]), None)
             assert warned == ([] if first is None else [first])
             stayed.add(first is None)
-        assert calls == []
+        assert [(c, x.shape) for c, x in calls] == [(cap, (21, cap.dim))] * 60
         # runs that leave and runs that stay are both drawn
         assert stayed == {True, False}
 
@@ -276,7 +273,8 @@ class TestSolve:
         for x in traj.points[:50]:
             fx = F(x)
             for h in (0.25, 0.5, 0.75, 1.0):
-                assert cap_membership(named.cap, x + h * fx) != OUTSIDE
+                ball, _ = cap_membership(named.cap, x + h * fx)
+                assert ball
 
     def test_validation(self):
         named = get_instance("quadratic1d")
@@ -294,6 +292,27 @@ class TestSolve:
         named = get_instance("quadratic1d")
         with pytest.raises(ValueError, match="stop criteria"):
             solve(named.instance, **{key: float("nan")})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("max_iter", 2.5),
+            ("max_iter", True),
+            ("max_iter", float("inf")),
+            ("tol_residual", float("inf")),
+            ("tol_step", float("inf")),
+        ],
+    )
+    def test_stop_criterion_of_wrong_kind_rejected(self, key, value):
+        # a budget is an integer as euler_nodes' step count is; tolerances are finite
+        named = get_instance("quadratic1d")
+        with pytest.raises(ValueError, match="stop criteria"):
+            solve(named.instance, **{key: value})
+
+    def test_step_size_only_in_euler_mode(self):
+        named = get_instance("quadratic3x2")
+        with pytest.raises(ValueError, match="euler mode"):
+            solve(named.instance, mode="discrete", lam=0.5, max_iter=10)
 
     def test_max_iter_termination(self):
         named = get_instance("quadratic1d")

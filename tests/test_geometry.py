@@ -10,9 +10,6 @@ from mflow import (
     GEOM_TOL,
     Cap,
     EmptyIntersectionError,
-    INSIDE_D_ONLY,
-    INSIDE_DHAT,
-    OUTSIDE,
     cap_membership,
     haugazeau_projection,
     project_onto_halfspaces,
@@ -386,7 +383,7 @@ class TestCap:
 
     def test_membership_examples(self):
         cap = Cap([-1.0, 0.0], [1.0, 0.0], 0.5)
-        assert cap_membership(cap, cap.z) == INSIDE_DHAT
-        assert cap_membership(cap, cap.w) == INSIDE_D_ONLY
-        assert cap_membership(cap, [0.0, 1.0]) == INSIDE_DHAT
-        assert cap_membership(cap, [2.0, 0.0]) == OUTSIDE
+        assert cap_membership(cap, cap.z) == (True, True)
+        assert cap_membership(cap, cap.w) == (True, False)
+        assert cap_membership(cap, [0.0, 1.0]) == (True, True)
+        assert cap_membership(cap, [2.0, 0.0]) == (False, True)

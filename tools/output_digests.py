@@ -8,7 +8,9 @@ commands and demos, one seeded wide quadratic solve (n = 1000, m = 500, a
 fixed iteration count) prints the SHA-256 of its records, so that the
 matvec path is also covered at a size where BLAS, not Python, does the
 work; it runs with ``L`` C-ordered, F-ordered and as a strided view, the
-layouts that ``LinearMap`` wraps or copies.  ``mflow check --samples 64`` also
+layouts that ``LinearMap`` wraps or copies.  Two malformed ``mflow solve`` command
+lines (a non-integer ``--max-iter``, and ``--lambda`` without ``--mode euler``)
+run too, so that their exit codes and stderr are covered.  ``mflow check --samples 64`` also
 runs on a 1-D quadratic instance file whose data are scaled by 2^20 and by 2^-20,
 so that cap sampling is covered on a far and on a tiny cap.  Every command runs
 in a fresh interpreter with one BLAS thread, writing into its own temporary
@@ -84,6 +86,11 @@ def commands():
     for tag in SPLITTING:
         args = ["solve", "--instance", tag, "--mode", "euler", "--lambda", "0.5"]
         out.append((f"solve {tag} euler 0.5", args + ["--max-iter", "3000"]))
+    # two malformed solves, whose exit codes and error lines are digested
+    args = ["solve", "--instance", "quadratic1d", "--max-iter", "abc"]
+    out.append(("solve quadratic1d max-iter abc", args))
+    args = ["solve", "--instance", "quadratic3x2", "--lambda", "0.5", "--max-iter", "10"]
+    out.append(("solve quadratic3x2 lambda 0.5 without euler", args))
     for tag in SPLITTING + FIELDS:
         for seed in CHECK_SEEDS:
             args = ["check", "--instance", tag, "--samples", "512", "--seed", str(seed)]
