@@ -1,8 +1,9 @@
 """Command-line driver: solve, integrate, check, project.
 
 Exit codes: 0 success (converged / all checks passed), 1 malformed
-configuration or arguments, 2 budget exhausted or checks failed, 3
-numerical breakdown (empty two-cut intersection, non-finite iterates).
+configuration or arguments (any ``ValueError`` a command raises), 2 budget
+exhausted or checks failed, 3 numerical breakdown (empty two-cut
+intersection, non-finite iterates).
 Verbosity comes from the ``MFLOW_LOG`` environment variable
 (DEBUG/INFO/WARNING/ERROR).
 """
@@ -11,7 +12,6 @@ import argparse
 import functools
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -65,9 +65,6 @@ def _parse_lambdas(raw):
         raise ConfigError(f"bad --lambda list {raw!r}: {exc}") from exc
     if not values:
         raise ConfigError("empty --lambda list")
-    for v in values:
-        if not 0.0 < v <= 1.0:
-            raise ConfigError(f"step sizes must lie in (0, 1], got {v}")
     return values
 
 
@@ -124,43 +121,28 @@ def _resolve(args):
     return resolve_instance(args.instance, path=args.config or "<cli>")
 
 
-def _positive(name, value):
-    # the chained comparison also rejects NaN
-    if value is not None and not 0 < value < math.inf:
-        raise ConfigError(f"{name} must be finite and strictly positive, got {value}")
-
-
 def cmd_solve(args):
     _merge_config(args)
     named = _resolve(args)
     if named.instance is None:
         raise ConfigError(f"instance {named.tag!r} is a raw field; use 'integrate'")
-    mode = args.mode or "discrete"
-    lam = args.lam
-    if mode == "euler" and lam is None:
-        raise ConfigError("euler mode requires --lambda")
-    if mode != "euler" and lam is not None:
-        raise ConfigError("--lambda is a step size of euler mode; add --mode euler")
-    # only the settings given are passed on; dynamics.solve holds the defaults
+    lam = None
+    if args.lam is not None:
+        lam_list = _parse_lambdas(args.lam)
+        if len(lam_list) != 1:
+            raise ConfigError("'solve' takes exactly one --lambda value")
+        lam = lam_list[0]
+    # only the settings given are passed on; dynamics.solve holds the defaults and
+    # rejects a step size without euler mode, or euler mode without one
     stops = {
         key: getattr(args, key)
         for key in ("max_iter", "tol_residual", "tol_step")
         if getattr(args, key) is not None
     }
-    for key, val in stops.items():
-        _positive(key.replace("_", "-"), val)
-
-    lam_value = None
-    if mode == "euler":
-        lam_list = _parse_lambdas(lam)
-        if len(lam_list) != 1:
-            raise ConfigError("'solve' takes exactly one --lambda value")
-        lam_value = lam_list[0]
-
     traj = dynamics.solve(
         named.instance,
-        mode=mode,
-        lam=lam_value,
+        mode=args.mode or "discrete",
+        lam=lam,
         z=named.z,
         label=named.tag,
         **stops,
@@ -185,8 +167,9 @@ def cmd_integrate(args):
     _merge_config(args)
     named = _resolve(args)
     lams = _parse_lambdas(args.lam)
-    _positive("t-final", args.t_final)
-    _positive("t-final / smallest --lambda", args.t_final / min(lams))
+    # integrate_field's own test, on every step size before the first run writes
+    for lam in lams:
+        dynamics._check_horizon(lam, args.t_final)
     out = _out_dir(args)
 
     fld = named.extended_field or named.flow_field()
@@ -251,7 +234,7 @@ def _integration_start(args, named):
         return start
     try:
         x0 = as_vector(json.loads(args.x0))
-    except (json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad --x0: {exc}") from exc
     if start is not None and x0.shape != start.shape:
         raise ConfigError(
@@ -270,10 +253,6 @@ def cmd_check(args):
         )
     n_samples = 512 if args.samples is None else args.samples
     seed = 0 if args.seed is None else args.seed
-    _positive("samples", n_samples)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-
     samples = diagnostics.sample_cap(named.cap, n_samples=n_samples, seed=seed)
     # each map runs once, on z stacked on the samples; the checks score those values
     points = np.vstack([named.cap.z, samples])
@@ -315,13 +294,8 @@ def cmd_project(args):
         w = as_vector(json.loads(args.w))
         b = as_vector(json.loads(args.b))
         c = as_vector(json.loads(args.c))
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise ConfigError(f"points must be JSON arrays of equal dimension: {exc}")
-    if not w.shape == b.shape == c.shape:
-        raise ConfigError(
-            f"points must have equal dimension, got {w.shape[0]}, {b.shape[0]}, "
-            f"{c.shape[0]}"
-        )
+    except ValueError as exc:
+        raise ConfigError(f"points must be JSON arrays: {exc}")
     # an overflowing Gram entry is recomputed from rescaled differences; an
     # overflowing difference gives a non-finite point, reported as a breakdown
     with np.errstate(over="ignore", invalid="ignore"):
@@ -395,15 +369,16 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except EmptyIntersectionError as exc:
         print(f"empty intersection: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
     except dynamics.NonFiniteError as exc:
         print(f"breakdown: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
+    # the one error boundary: a ConfigError, or a value the library rejects
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

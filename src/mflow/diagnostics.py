@@ -84,6 +84,8 @@ def sample_cap(cap, n_samples=512, seed=0):
     """
     if not (_integer(n_samples) and n_samples > 0):
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
+    if not (_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     shift = np.random.default_rng(seed).random(cap.dim)
     center, radius = cap.center, cap.radius
     kept = []
@@ -112,7 +114,10 @@ def _rd_batches(shift, size):
         phi = (1.0 + phi) ** (1.0 / (len(shift) + 1))
     alpha = phi ** -np.arange(1.0, len(shift) + 1)
     for b in range(SAMPLE_MAX_BATCHES):
-        yield (shift + np.arange(b * size + 1, (b + 1) * size + 1)[:, None] * alpha) % 1.0
+        x = shift + np.arange(b * size + 1.0, (b + 1) * size + 1.0)[:, None] * alpha
+        # x >= 0, where x - floor(x) is exact and so equals x % 1.0 bit for bit
+        x -= np.floor(x)
+        yield x
 
 
 def _checked_values(values, samples):

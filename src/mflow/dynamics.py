@@ -133,6 +133,14 @@ def _check_step(lam, n_steps=0):
         raise ValueError(f"number of steps must be a non-negative integer, got {n_steps!r}")
 
 
+def _check_horizon(lam, t_final):
+    """Reject what :func:`_check_step` rejects, or a ``t_final / lam`` not finite and positive."""
+    _check_step(lam)
+    # the chained comparison also rejects NaN; a finite t_final / lam bounds the step count
+    if not 0 < t_final / lam < math.inf:
+        raise ValueError(f"t_final / lam must be finite and positive, got {t_final} / {lam}")
+
+
 def _iterate(advance, x, max_steps, tol_residual=-math.inf, tol_step=-math.inf):
     """The one stepping loop ``x_0 = x``, ``x_{n+1}, r_n = advance(x_n)``.
 
@@ -340,7 +348,7 @@ def solve(
         Iteration budget, a positive integer (not a bool).
     tol_residual : float
         Stop once the fixed-point residual ``||Tx - x||`` falls below this;
-        finite and positive, as is ``tol_step``.
+        finite and positive (not a bool), as is ``tol_step``.
     tol_step : float
         Stop once the iterate displacement falls below this.
     z : array_like, optional
@@ -368,8 +376,10 @@ def solve(
         raise ValueError(f"a step size is only used in euler mode, got lam={lam!r}")
     if not (_integer(max_iter) and max_iter > 0):
         raise ValueError(f"stop criteria: max_iter must be a positive integer, got {max_iter!r}")
-    # the chained comparisons also reject NaN
-    if not (0 < tol_residual < math.inf and 0 < tol_step < math.inf):
+    # the chained comparisons also reject NaN; a bool is no tolerance, as it is no max_iter
+    if bool in (type(tol_residual), type(tol_step)) or not (
+        0 < tol_residual < math.inf and 0 < tol_step < math.inf
+    ):
         raise ValueError(
             f"stop criteria: tolerances must be finite and positive, "
             f"got tol_residual={tol_residual!r}, tol_step={tol_step!r}"
@@ -400,10 +410,7 @@ def integrate_field(F, x0, lam, t_final, cap=None, z=None, label=""):
     overrides the field's declared cap for the Fejer/distance columns; when
     neither provides anchors those columns are NaN.
     """
-    _check_step(lam)
-    # the chained comparison also rejects NaN; a finite t_final / lam bounds the step count
-    if not 0 < t_final / lam < math.inf:
-        raise ValueError(f"t_final / lam must be finite and positive, got {t_final} / {lam}")
+    _check_horizon(lam, t_final)
     cap = cap if cap is not None else getattr(F, "cap", None)
     n_steps = int(np.ceil(t_final / lam - 1e-12))
     w_flat = cap.w if cap is not None else None

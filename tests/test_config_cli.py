@@ -167,6 +167,10 @@ def test_run_config_integral_float_is_an_integer(tmp_path):
         ["integrate", "--instance", "lens-drift", "--lambda", "1e-10", "--t-final", "1e300"],
         ["integrate", "--instance", "lens-drift", "--lambda", "1", "--x0", "[1,2,3]"],
         ["project", "[0,0]", "[1,0]", "[1]"],
+        ["solve", "--instance", "quadratic1d", "--max-iter", "0"],
+        ["solve", "--instance", "quadratic1d", "--mode", "euler"],
+        ["check", "--instance", "quadratic3x2", "--samples", "0"],
+        ["integrate", "--instance", "lens-drift", "--lambda", "0.2,1.5"],
     ],
     ids=[
         "seed_negative",
@@ -177,14 +181,23 @@ def test_run_config_integral_float_is_an_integer(tmp_path):
         "t_final_over_lambda_inf",
         "x0_dimension",
         "project_dimension",
+        "max_iter_zero",
+        "euler_without_lambda",
+        "samples_zero",
+        "lambda_list_out_of_range",
     ],
 )
 def test_bad_numeric_argument_exit_one(tmp_path, capsys, argv):
+    # the library rejects most of these; the CLI reports its ValueError as one line
     if argv[0] != "project":
         argv = argv + ["--out", str(tmp_path)]
     code = main(argv)
+    captured = capsys.readouterr()
     assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    # nothing is written: integrate tests every step size before its first run
+    assert not list(tmp_path.iterdir())
 
 
 def test_seed_is_an_option_of_check_only(capsys):

@@ -74,6 +74,12 @@ class TestSampleCap:
         with pytest.raises(ValueError, match="positive integer"):
             sample_cap(lens.cap, n_samples=n_samples)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
+    def test_rejects_seed_not_a_non_negative_integer(self, lens, seed):
+        # True would draw seed 1's samples, 2.5 and -1 fail inside numpy
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            sample_cap(lens.cap, n_samples=8, seed=seed)
+
     @pytest.mark.parametrize("dim", range(1, 7))
     def test_rd_sequence(self, dim):
         # with a zero shift the first point is alpha itself, and 1 / alpha_1 = phi
@@ -90,6 +96,17 @@ class TestSampleCap:
             for axis in points.T:
                 counts = np.bincount((axis * 8).astype(int), minlength=8)
                 assert np.all(np.abs(counts - 512) <= 32), (seed, counts)
+
+    @pytest.mark.parametrize("size", [1, 64, 512, 1000])
+    def test_rd_batches_equal_the_remainder_form(self, size):
+        # every value is positive, where x - floor(x) and x % 1.0 are both exact
+        for dim in range(1, 21):
+            shift = np.random.default_rng(dim).random(dim)
+            # with a zero shift the first point is alpha itself, bit for bit
+            alpha = next(_rd_batches(np.zeros(dim), 1))[0]
+            for b, batch in enumerate(_rd_batches(shift, size)):
+                n = np.arange(b * size + 1, (b + 1) * size + 1)[:, None]
+                assert batch.tobytes() == ((shift + n * alpha) % 1.0).tobytes(), (dim, b)
 
     def test_deterministic_for_seed(self, lens):
         a = sample_cap(lens.cap, n_samples=64, seed=7)

@@ -301,10 +301,13 @@ class TestSolve:
             ("max_iter", float("inf")),
             ("tol_residual", float("inf")),
             ("tol_step", float("inf")),
+            ("tol_residual", True),
+            ("tol_step", False),
         ],
     )
     def test_stop_criterion_of_wrong_kind_rejected(self, key, value):
         # a budget is an integer as euler_nodes' step count is; tolerances are finite
+        # numbers, and neither is a bool
         named = get_instance("quadratic1d")
         with pytest.raises(ValueError, match="stop criteria"):
             solve(named.instance, **{key: value})
