@@ -44,12 +44,6 @@ def _out_dir(args):
     return out
 
 
-def _mode(value):
-    if value not in ("discrete", "euler"):
-        raise ValueError(f"expected 'discrete' or 'euler', got {value!r}")
-    return value
-
-
 def _parse_lambdas(raw):
     if raw is None:
         raise ConfigError("missing --lambda list")
@@ -60,7 +54,7 @@ def _parse_lambdas(raw):
     else:
         tokens = [raw]
     try:
-        values = [float(tok) for tok in tokens]
+        values = [_real(tok) for tok in tokens]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad --lambda list {raw!r}: {exc}") from exc
     if not values:
@@ -83,16 +77,22 @@ def _real(value):
     return float(value)
 
 
+def _text(value):
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 # Run-config keys: (JSON key, argument attribute, conversion of the JSON value).
+# A command applies the keys it has flags for and ignores the others.
 _RUN_SETTINGS = (
     ("instance", "instance", None),
-    ("mode", "mode", _mode),
     ("lambda", "lam", _parse_lambdas),
     ("max_iter", "max_iter", _integral),
     ("tol_residual", "tol_residual", _real),
     ("tol_step", "tol_step", _real),
     ("seed", "seed", _integral),
-    ("out", "out", str),
+    ("out", "out", _text),
     ("samples", "samples", _integral),
 )
 
@@ -104,6 +104,9 @@ def _merge_config(args):
     doc = load_json(args.config)
     if not isinstance(doc, dict):
         raise ConfigError(f"{args.config}: run configuration must be an object")
+    unknown = sorted(doc.keys() - {key for key, _, _ in _RUN_SETTINGS})
+    if unknown:
+        raise ConfigError(f"{args.config}: no command takes {', '.join(map(repr, unknown))}")
     for key, attr, convert in _RUN_SETTINGS:
         if key in doc and hasattr(args, attr) and getattr(args, attr) is None:
             value = doc[key]
@@ -126,27 +129,13 @@ def cmd_solve(args):
     named = _resolve(args)
     if named.instance is None:
         raise ConfigError(f"instance {named.tag!r} is a raw field; use 'integrate'")
-    lam = None
-    if args.lam is not None:
-        lam_list = _parse_lambdas(args.lam)
-        if len(lam_list) != 1:
-            raise ConfigError("'solve' takes exactly one --lambda value")
-        lam = lam_list[0]
-    # only the settings given are passed on; dynamics.solve holds the defaults and
-    # rejects a step size without euler mode, or euler mode without one
+    # only the settings given are passed on; dynamics.solve holds the defaults
     stops = {
         key: getattr(args, key)
         for key in ("max_iter", "tol_residual", "tol_step")
         if getattr(args, key) is not None
     }
-    traj = dynamics.solve(
-        named.instance,
-        mode=args.mode or "discrete",
-        lam=lam,
-        z=named.z,
-        label=named.tag,
-        **stops,
-    )
+    traj = dynamics.solve(named.instance, z=named.z, label=named.tag, **stops)
     out = _out_dir(args)
     csv_path = out / f"{named.tag}_trajectory.csv"
     traj.write_csv(csv_path)
@@ -166,10 +155,16 @@ def cmd_solve(args):
 def cmd_integrate(args):
     _merge_config(args)
     named = _resolve(args)
-    lams = _parse_lambdas(args.lam)
-    # integrate_field's own test, on every step size before the first run writes
+    # a run document's list is parsed in _merge_config, the flag's here
+    lams = args.lam if isinstance(args.lam, list) else _parse_lambdas(args.lam)
+    # integrate_field's own test and a file name of its own, for each step size before any run
+    csv_names = {}
     for lam in lams:
         dynamics._check_horizon(lam, args.t_final)
+        name = f"{named.tag}_lam{lam:g}.csv"
+        if name in csv_names:
+            raise ConfigError(f"step sizes {csv_names[name]!r} and {lam!r} both write {name}")
+        csv_names[name] = lam
     out = _out_dir(args)
 
     fld = named.extended_field or named.flow_field()
@@ -178,11 +173,11 @@ def cmd_integrate(args):
 
     rows = []
     sup_errors = []
-    for lam in lams:
+    for name, lam in csv_names.items():
         traj = dynamics.integrate_field(
             fld, x0, lam, args.t_final, cap=named.cap, z=named.z, label=named.tag
         )
-        csv_path = out / f"{named.tag}_lam{lam:g}.csv"
+        csv_path = out / name
         traj.write_csv(csv_path)
         row = {"lambda": lam, "steps": traj.iterations, "csv": str(csv_path)}
         if references:
@@ -324,10 +319,8 @@ def build_parser():
         p.add_argument("--config", help="run configuration JSON path")
         p.add_argument("--out", default=None, help="output directory (default mflow-out)")
 
-    p_solve = sub.add_parser("solve", help="run the discrete scheme (or its relaxation)")
+    p_solve = sub.add_parser("solve", help="run the discrete scheme")
     add_common(p_solve)
-    p_solve.add_argument("--mode", choices=["discrete", "euler"], default=None)
-    p_solve.add_argument("--lambda", dest="lam", default=None, help="euler step size")
     p_solve.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p_solve.add_argument("--tol-residual", dest="tol_residual", type=float, default=None)
     p_solve.add_argument("--tol-step", dest="tol_step", type=float, default=None)

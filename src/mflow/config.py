@@ -14,9 +14,10 @@ An instance document looks like::
       "floor_fraction": 0.25      // optional cap floor as a fraction of ||w-z||^2
     }
 
-A run document may carry any of the CLI settings (``instance``, ``mode``,
-``lambda``, ``max_iter``, ``tol_residual``, ``tol_step``, ``seed``, ``out``,
-``samples``) plus an inline instance under ``instance``.
+A run document may carry any of the CLI settings (``instance``, ``lambda``,
+``max_iter``, ``tol_residual``, ``tol_step``, ``seed``, ``out``, ``samples``),
+with an inline instance under ``instance``.  A command applies the settings it
+has flags for and ignores the others; a key that no command takes is an error.
 """
 
 import json

@@ -65,9 +65,9 @@ class VectorField:
 class Trajectory:
     """Ordered iterate records with per-step diagnostics.
 
-    ``index`` holds the iteration counter for the discrete scheme and the
-    time for Euler runs.  ``fejer_slack`` is NaN when no reference solution
-    is attached.
+    ``index`` holds the iteration counter for the discrete scheme (``lam`` None)
+    and the time for Euler runs.  ``fejer_slack`` is NaN when no reference
+    solution is attached.
     """
 
     index: np.ndarray
@@ -77,9 +77,12 @@ class Trajectory:
     residual: np.ndarray
     step_norm: np.ndarray
     termination: str
-    mode: str
     lam: float = None
     label: str = ""
+
+    @property
+    def mode(self):
+        return "discrete" if self.lam is None else "euler"
 
     @property
     def final(self):
@@ -215,6 +218,25 @@ def _euler(F, x0, lam, n_steps):
     return nodes, field_norms
 
 
+def _segment(nodes, lam, t):
+    """Segment ``k`` and fraction ``t / lam - k`` of time ``t`` on the Euler nodes.
+
+    ``t / lam`` may lie up to 1e-12 outside ``[0, n_steps]``, and within 1e-12
+    of an index it is that knot, with fraction 0.
+    """
+    _check_step(lam)
+    n_steps = len(nodes) - 1
+    s = t / lam
+    # negated, so that a NaN time fails it
+    if not -1e-12 <= s <= n_steps + 1e-12:
+        raise ValueError(f"time {t} outside [0.0, {n_steps * lam}]")
+    k = round(s)
+    if abs(s - k) < 1e-12:
+        return k, 0.0
+    k = math.floor(s)
+    return k, s - k
+
+
 def euler_eval(nodes, lam, t):
     """Piecewise-affine trajectory value at time ``t``.
 
@@ -222,18 +244,11 @@ def euler_eval(nodes, lam, t):
     ``c_k + (t - k lam) F(c_k)``; node times are reproduced exactly, also
     where ``t / lam`` rounds to within 1e-12 of the node's index.
     """
-    _check_step(lam)
     nodes = np.asarray(nodes, dtype=float)
-    n_steps = nodes.shape[0] - 1
-    s = t / lam
-    # negated, so that a NaN time fails it
-    if not 0.0 <= s <= n_steps + 1e-12:
-        raise ValueError(f"time {t} outside [0.0, {n_steps * lam}]")
-    k = round(s)
-    if abs(s - k) < 1e-12:
+    k, frac = _segment(nodes, lam, t)
+    if frac == 0.0:
         return nodes[k].copy()
-    k = math.floor(s)
-    return nodes[k] + (s - k) * (nodes[k + 1] - nodes[k])
+    return nodes[k] + frac * (nodes[k + 1] - nodes[k])
 
 
 def euler_defect(F, nodes, lam, t):
@@ -243,17 +258,12 @@ def euler_defect(F, nodes, lam, t):
     along it; by convention it is zero at the knots, and its sup over the
     interval shrinks to zero with ``lam`` for uniformly continuous fields.
     """
-    _check_step(lam)
     nodes = np.asarray(nodes, dtype=float)
-    n_steps = nodes.shape[0] - 1
-    s = t / lam
-    if not -1e-12 <= s <= n_steps + 1e-12:
-        raise ValueError(f"time {t} outside [0.0, {n_steps * lam}]")
-    if abs(s - round(s)) < 1e-12:
+    k, frac = _segment(nodes, lam, t)
+    if frac == 0.0:
         return np.zeros(nodes.shape[1])
-    k = min(int(np.floor(s)), n_steps - 1)
-    slope = (nodes[k + 1] - nodes[k]) / lam
-    return slope - as_vector(F(euler_eval(nodes, lam, t)))
+    chord = nodes[k + 1] - nodes[k]
+    return chord / lam - as_vector(F(nodes[k] + frac * chord))
 
 
 def build_field(inst, cap=None):
@@ -280,11 +290,11 @@ def build_field(inst, cap=None):
     )
 
 
-def _trajectory(points, residual, termination, w, z, mode, lam, label):
+def _trajectory(points, residual, termination, w, z, lam, label):
     """Records of a run from its iterates, with the diagnostic columns added.
 
-    ``points`` are the iterates in order, indexed by count or, for Euler runs,
-    by time.  ``norm_to_w`` is NaN without an anchor ``w``, and
+    ``points`` are the iterates in order, indexed by count or, for Euler runs
+    of step ``lam``, by time.  ``norm_to_w`` is NaN without an anchor ``w``, and
     ``fejer_slack`` is NaN unless both ``w`` and ``z`` are given.
     """
     points = np.asarray(points, dtype=float)
@@ -309,41 +319,26 @@ def _trajectory(points, residual, termination, w, z, mode, lam, label):
         steps = np.diff(points[max(lo - 1, 0) : lo + rows], axis=0)
         step_norm[max(lo, 1) : lo + rows] = np.linalg.norm(steps, axis=1)
     return Trajectory(
-        index=np.arange(count) * (1.0 if mode == "discrete" else lam),
+        index=np.arange(count) * (1.0 if lam is None else lam),
         points=points,
         norm_to_w=norm_to_w,
         fejer_slack=slack,
         residual=np.array(residual, dtype=float),
         step_norm=step_norm,
         termination=termination,
-        mode=mode,
         lam=lam,
         label=label,
     )
 
 
-def solve(
-    inst,
-    mode="discrete",
-    lam=None,
-    max_iter=100_000,
-    tol_residual=1e-9,
-    tol_step=1e-12,
-    z=None,
-    label="",
-):
-    """Run the best-approximation iteration (or its Euler relaxation) on an instance.
+def solve(inst, max_iter=100_000, tol_residual=1e-9, tol_step=1e-12, z=None, label=""):
+    """Run the best-approximation iteration ``x_{n+1} = Q(w, x_n, T x_n)`` on an instance.
+
+    Its Euler relaxation is ``integrate_field(build_field(inst, cap), x0, lam, t_final)``.
 
     Parameters
     ----------
     inst : ProblemInstance
-    mode : {"discrete", "euler"}
-        ``"discrete"`` iterates ``x_{n+1} = Q(w, x_n, T x_n)``; ``"euler"``
-        relaxes each step to ``x + lam (Q - x)`` with ``lam`` in (0, 1].
-        At ``lam = 1`` the Euler step evaluates the projection directly, so
-        the two modes produce identical trajectories.
-    lam : float, optional
-        Euler step size, required for ``mode="euler"`` and rejected otherwise.
     max_iter : int
         Iteration budget, a positive integer (not a bool).
     tol_residual : float
@@ -368,12 +363,6 @@ def solve(
     NonFiniteError
         The step from a recorded iterate is not finite.
     """
-    if mode not in ("discrete", "euler"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "euler":
-        _check_step(lam)
-    elif lam is not None:
-        raise ValueError(f"a step size is only used in euler mode, got lam={lam!r}")
     if not (_integer(max_iter) and max_iter > 0):
         raise ValueError(f"stop criteria: max_iter must be a positive integer, got {max_iter!r}")
     # the chained comparisons also reject NaN; a bool is no tolerance, as it is no max_iter
@@ -387,20 +376,17 @@ def solve(
 
     w_flat = inst.w.flat
     z_flat = None if z is None else as_vector(z)
-    step = 1.0 if mode == "discrete" else lam
 
     def advance(x):
         tx, resid = kt_apply_flat(inst, x)
-        q = haugazeau_projection(w_flat, x, tx)
-        # lam = 1 takes Q itself, so euler(1) and discrete agree bit for bit
-        return (q if step == 1.0 else x + step * (q - x)), resid
+        return haugazeau_projection(w_flat, x, tx), resid
 
     points, residuals, termination = _iterate(
         advance, inst.x0.flat, max_iter, tol_residual, tol_step
     )
     # stacked before the records are built, so the list of iterates is freed first
     points = np.asarray(points)
-    return _trajectory(points, residuals, termination, w_flat, z_flat, mode, lam, label)
+    return _trajectory(points, residuals, termination, w_flat, z_flat, None, label)
 
 
 def integrate_field(F, x0, lam, t_final, cap=None, z=None, label=""):
@@ -416,4 +402,4 @@ def integrate_field(F, x0, lam, t_final, cap=None, z=None, label=""):
     w_flat = cap.w if cap is not None else None
     z_flat = as_vector(z) if z is not None else (cap.z if cap is not None else None)
     nodes, residuals = _euler(F, x0, lam, n_steps)
-    return _trajectory(nodes, residuals, "t_final", w_flat, z_flat, "euler", lam, label)
+    return _trajectory(nodes, residuals, "t_final", w_flat, z_flat, lam, label)

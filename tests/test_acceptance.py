@@ -15,8 +15,10 @@ from mflow import (
     PDPoint,
     Zero,
     fixed_point_operator,
+    build_field,
     get_instance,
     haugazeau_projection,
+    integrate_field,
     kt_residual,
     solve,
 )
@@ -74,8 +76,11 @@ def criterion5_runs():
     """Unit-step Euler vs discrete trajectories, shared with criterion 3."""
     named = get_instance("quadratic3x2")
     kw = dict(max_iter=120, tol_residual=1e-16, tol_step=1e-16, z=named.z)
-    discrete = solve(named.instance, mode="discrete", label="c5-discrete", **kw)
-    euler = solve(named.instance, mode="euler", lam=1.0, label="c5-euler", **kw)
+    discrete = solve(named.instance, label="c5-discrete", **kw)
+    field = build_field(named.instance, cap=named.cap)
+    euler = integrate_field(
+        field, named.instance.x0.flat, 1.0, discrete.iterations, label="c5-euler"
+    )
     return named, discrete, euler
 
 

@@ -107,13 +107,16 @@ class TestConfig:
         ("solve", "quadratic1d", "tol_residual", [1e-3]),
         ("solve", "quadratic1d", "tol_residual", True),
         ("solve", "quadratic1d", "tol_step", False),
-        ("solve", "quadratic1d", "mode", "nope"),
+        ("solve", "quadratic1d", "mode", "euler"),
+        ("solve", "quadratic1d", "out", None),
         ("check", "quadratic1d", "samples", "many"),
         ("check", "quadratic1d", "samples", 16.7),
         ("check", "quadratic1d", "samples", True),
         ("check", "quadratic1d", "seed", 0.5),
         ("check", "quadratic1d", "seed", False),
         ("integrate", "lens-drift", "lambda", ["x"]),
+        ("integrate", "lens-drift", "lambda", True),
+        ("integrate", "lens-drift", "lambda", [0.5, True]),
     ],
     ids=[
         "max_iter",
@@ -124,24 +127,31 @@ class TestConfig:
         "tol_residual_bool",
         "tol_step_bool",
         "mode",
+        "out_null",
         "samples",
         "samples_fraction",
         "samples_bool",
         "seed_fraction",
         "seed_bool",
         "lambda",
+        "lambda_bool",
+        "lambda_list_bool",
     ],
 )
 def test_run_config_value_of_wrong_type_exit_one(
-    tmp_path, capsys, command, instance, key, value
+    tmp_path, monkeypatch, capsys, command, instance, key, value
 ):
+    # a key no command takes ("mode") is named as a malformed value is
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"instance": instance, key: value, "out": str(tmp_path)}))
+    cfg.write_text(json.dumps({"instance": instance, "out": str(tmp_path)} | {key: value}))
     code = main([command, "--config", str(cfg)])
-    err = capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
     assert code == 1
-    assert err.startswith("error: ")
-    assert repr(key) in err and "run.json" in err
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert repr(key) in lines[0] and "run.json" in lines[0]
+    # nothing is written, in the output directory or (for "out": null) anywhere else
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_run_config_integral_float_is_an_integer(tmp_path):
@@ -168,7 +178,6 @@ def test_run_config_integral_float_is_an_integer(tmp_path):
         ["integrate", "--instance", "lens-drift", "--lambda", "1", "--x0", "[1,2,3]"],
         ["project", "[0,0]", "[1,0]", "[1]"],
         ["solve", "--instance", "quadratic1d", "--max-iter", "0"],
-        ["solve", "--instance", "quadratic1d", "--mode", "euler"],
         ["check", "--instance", "quadratic3x2", "--samples", "0"],
         ["integrate", "--instance", "lens-drift", "--lambda", "0.2,1.5"],
     ],
@@ -182,7 +191,6 @@ def test_run_config_integral_float_is_an_integer(tmp_path):
         "x0_dimension",
         "project_dimension",
         "max_iter_zero",
-        "euler_without_lambda",
         "samples_zero",
         "lambda_list_out_of_range",
     ],
@@ -207,6 +215,16 @@ def test_seed_is_an_option_of_check_only(capsys):
         with pytest.raises(SystemExit):
             parser.parse_args([command, "--instance", "quadratic1d", "--seed", "5"])
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag", [["--mode", "euler"], ["--lambda", "0.5"]], ids=["mode", "lambda"]
+)
+def test_solve_has_no_step_size_option(capsys, flag):
+    # the Euler relaxation of an instance is 'integrate'; solve runs the discrete scheme
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["solve", "--instance", "quadratic3x2", *flag])
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_check_has_no_tolerance_option(capsys):
@@ -280,11 +298,10 @@ def test_overflowing_step_raises_non_finite(tmp_path):
     "run",
     [
         lambda inst: mflow.solve(inst, max_iter=50),
-        lambda inst: mflow.solve(inst, mode="euler", lam=0.5, max_iter=50),
         lambda inst: mflow.euler_nodes(mflow.build_field(inst), inst.x0.flat, 0.5, 50),
         lambda inst: mflow.integrate_field(mflow.build_field(inst), inst.x0.flat, 0.5, 20),
     ],
-    ids=["solve", "solve-relaxed", "euler_nodes", "integrate_field"],
+    ids=["solve", "euler_nodes", "integrate_field"],
 )
 def test_overflowing_step_raises_from_every_run(tmp_path, run):
     path = tmp_path / "ovf.json"
@@ -482,24 +499,6 @@ class TestSolveCommand:
         assert code == 1
         assert "bad.json:1" in err
 
-    @pytest.mark.parametrize(
-        "flags, doc",
-        [
-            (["--lambda", "0.5"], {}),
-            (["--mode", "discrete", "--lambda", "0.5"], {}),
-            ([], {"lambda": 0.5}),
-            ([], {"mode": "discrete", "lambda": 0.5}),
-        ],
-        ids=["flag", "flag_discrete", "run_document", "run_document_discrete"],
-    )
-    def test_lambda_without_euler_mode_exit_one(self, tmp_path, capsys, flags, doc):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"instance": "quadratic3x2", "max_iter": 10} | doc))
-        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path), *flags])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not list(tmp_path.glob("quadratic3x2_*"))
-
     def test_raw_field_instance_rejected(self, tmp_path):
         code = main(["solve", "--instance", "lens-drift", "--out", str(tmp_path)])
         assert code == 1
@@ -521,6 +520,19 @@ class TestSolveCommand:
         assert code == 2  # five iterations cannot converge
         summary = json.loads((tmp_path / "quadratic1d_summary.json").read_text())
         assert summary["iterations"] == 5
+
+    def test_keys_of_other_commands_are_ignored(self, tmp_path):
+        # lambda is integrate's and samples is check's; solve runs as without them
+        base = {"instance": "quadratic3x2", "max_iter": 10}
+        for name, doc in (("plain", base), ("other", base | {"lambda": 0.5, "samples": 8})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(doc | {"out": str(tmp_path / name)}))
+            assert main(["solve", "--config", str(cfg)]) == 2
+        for name in ("quadratic3x2_trajectory.csv", "quadratic3x2_summary.json"):
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "other" / name).read_bytes() == plain
+        summary = json.loads((tmp_path / "other" / "quadratic3x2_summary.json").read_text())
+        assert (summary["mode"], summary["lambda"]) == ("discrete", None)
 
     def test_deterministic_output_bytes(self, tmp_path):
         args = ["solve", "--instance", "quadratic3x2", "--max-iter", "200"]
@@ -585,6 +597,15 @@ class TestIntegrateCommand:
             d_cols = dr.split(",")
             e_cols = er.split(",")
             assert d_cols[1:3] == e_cols[1:3]
+
+    def test_step_sizes_sharing_a_file_name_exit_one(self, tmp_path, capsys):
+        # both print as 0.1, so both runs would write lens-drift_lam0.1.csv
+        argv = ["integrate", "--instance", "lens-drift", "--lambda", "0.1,0.1000001"]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "0.1 and 0.1000001" in lines[0] and "lens-drift_lam0.1.csv" in lines[0]
+        assert not list(tmp_path.iterdir())
 
     def test_empty_lambda_list_exit_one(self, tmp_path):
         code = main(

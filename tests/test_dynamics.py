@@ -17,7 +17,9 @@ from mflow import (
     euler_eval,
     euler_nodes,
     get_instance,
+    haugazeau_projection,
     integrate_field,
+    kt_operator,
     kt_residual,
     quadratic_instance,
     solve,
@@ -156,6 +158,14 @@ class TestEulerEval:
         with pytest.raises(ValueError):
             euler_eval(nodes, 0.5, -0.1)
 
+    def test_times_within_knot_tolerance_of_the_ends(self):
+        # both functions take t / lam up to 1e-12 outside [0, n] as the end knot
+        F = get_instance("lens-drift").extended_field
+        nodes = euler_nodes(F, [0.0, -1.0], 0.1, 10)
+        for t, k in ((-1e-14, 0), (10 * 0.1 + 1e-14, 10)):
+            assert np.array_equal(euler_eval(nodes, 0.1, t), nodes[k])
+            assert np.array_equal(euler_defect(F, nodes, 0.1, t), [0.0, 0.0])
+
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time(self, t):
         F = drift_field()
@@ -250,11 +260,12 @@ class TestSolve:
 
     def test_euler_unit_step_equals_discrete(self):
         named = get_instance("quadratic3x2")
-        kw = dict(max_iter=120, tol_residual=1e-16, tol_step=1e-16, z=named.z)
-        a = solve(named.instance, mode="discrete", **kw)
-        b = solve(named.instance, mode="euler", lam=1.0, **kw)
-        assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.residual, b.residual)
+        inst = named.instance
+        a = solve(inst, max_iter=120, tol_residual=1e-16, tol_step=1e-16, z=named.z)
+        b = integrate_field(build_field(inst, named.cap), inst.x0.flat, 1.0, a.iterations)
+        assert (a.mode, b.mode) == ("discrete", "euler")
+        for column in ("index", "points", "norm_to_w", "fejer_slack", "step_norm"):
+            assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
     def test_monotone_distance_and_fejer_slack(self):
         for tag in ("quadratic1d", "quadratic3x2", "lasso1d"):
@@ -278,12 +289,6 @@ class TestSolve:
 
     def test_validation(self):
         named = get_instance("quadratic1d")
-        with pytest.raises(ValueError):
-            solve(named.instance, mode="euler")
-        with pytest.raises(ValueError):
-            solve(named.instance, mode="euler", lam=1.5)
-        with pytest.raises(ValueError):
-            solve(named.instance, mode="nope")
         with pytest.raises(ValueError):
             solve(named.instance, max_iter=0)
 
@@ -311,11 +316,6 @@ class TestSolve:
         named = get_instance("quadratic1d")
         with pytest.raises(ValueError, match="stop criteria"):
             solve(named.instance, **{key: value})
-
-    def test_step_size_only_in_euler_mode(self):
-        named = get_instance("quadratic3x2")
-        with pytest.raises(ValueError, match="euler mode"):
-            solve(named.instance, mode="discrete", lam=0.5, max_iter=10)
 
     def test_max_iter_termination(self):
         named = get_instance("quadratic1d")
@@ -440,15 +440,19 @@ class TestIntegrateField:
     @pytest.mark.parametrize("tag", ["quadratic1d", "quadratic3x2", "lasso1d", "lasso3x2"])
     @pytest.mark.parametrize("lam", [0.3, 0.5, 1.0])
     def test_matches_relaxed_solve(self, tag, lam):
-        # both runs take the relaxed step x + lam (Q - x), or Q itself at lam = 1
+        # the solve loop relaxed to x + lam (Q(w, x, Tx) - x), or Q itself at lam = 1
         named = get_instance(tag)
         inst = named.instance
-        tiny = dict(tol_residual=1e-300, tol_step=1e-300)
-        a = solve(inst, mode="euler", lam=lam, max_iter=400, **tiny)
+        x = inst.x0.flat
+        points = [x]
+        for _ in range(400):
+            q = haugazeau_projection(inst.w.flat, x, kt_operator(inst, x))
+            x = q if lam == 1.0 else x + lam * (q - x)
+            points.append(x)
         b = integrate_field(build_field(inst, named.cap), inst.x0.flat, lam, 400 * lam)
-        assert a.iterations == b.iterations == 400
-        assert a.points.tobytes() == b.points.tobytes()
-        assert a.index.tobytes() == b.index.tobytes()
+        assert b.iterations == 400
+        assert b.points.tobytes() == np.array(points).tobytes()
+        assert b.index.tobytes() == (np.arange(401) * lam).tobytes()
 
 
 class TestRecordColumns:

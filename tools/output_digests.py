@@ -8,11 +8,13 @@ commands and demos, one seeded wide quadratic solve (n = 1000, m = 500, a
 fixed iteration count) prints the SHA-256 of its records, so that the
 matvec path is also covered at a size where BLAS, not Python, does the
 work; it runs with ``L`` C-ordered, F-ordered and as a strided view, the
-layouts that ``LinearMap`` wraps or copies.  Two malformed ``mflow solve`` command
-lines (a non-integer ``--max-iter``, and ``--lambda`` without ``--mode euler``)
-run too, so that their exit codes and stderr are covered.  ``mflow check --samples 64`` also
-runs on a 1-D quadratic instance file whose data are scaled by 2^20 and by 2^-20,
-so that cap sampling is covered on a far and on a tiny cap.  Every command runs
+layouts that ``LinearMap`` wraps or copies.  Each splitting instance is also
+Euler-integrated at step size 0.5 for 3,000 steps.  Two malformed ``mflow solve``
+command lines (a non-integer ``--max-iter``, and a ``--lambda``, which ``solve``
+does not take) run too, so that their exit codes and stderr are covered.
+``mflow check --samples 64`` also runs on a 1-D quadratic instance file whose
+data are scaled by 2^20 and by 2^-20, so that cap sampling is covered on a far
+and on a tiny cap.  Every command runs
 in a fresh interpreter with one BLAS thread, writing into its own temporary
 directory.  For each command the script hashes its exit code, stdout and
 stderr, and then every file it wrote; each output's path is replaced by a
@@ -84,13 +86,13 @@ def commands():
     for tag in SPLITTING:
         out.append((f"solve {tag}", ["solve", "--instance", tag, "--max-iter", "3000"]))
     for tag in SPLITTING:
-        args = ["solve", "--instance", tag, "--mode", "euler", "--lambda", "0.5"]
-        out.append((f"solve {tag} euler 0.5", args + ["--max-iter", "3000"]))
+        args = ["integrate", "--instance", tag, "--lambda", "0.5", "--t-final", "1500"]
+        out.append((f"integrate {tag} lambda 0.5 t-final 1500", args))
     # two malformed solves, whose exit codes and error lines are digested
     args = ["solve", "--instance", "quadratic1d", "--max-iter", "abc"]
     out.append(("solve quadratic1d max-iter abc", args))
     args = ["solve", "--instance", "quadratic3x2", "--lambda", "0.5", "--max-iter", "10"]
-    out.append(("solve quadratic3x2 lambda 0.5 without euler", args))
+    out.append(("solve quadratic3x2 lambda 0.5", args))
     for tag in SPLITTING + FIELDS:
         for seed in CHECK_SEEDS:
             args = ["check", "--instance", tag, "--samples", "512", "--seed", str(seed)]
