@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import Cap, cap_membership, haugazeau_projection, haugazeau_rows
 from .space import as_vector
-from .splitting import kt_apply_flat, kt_apply_rows
+from .splitting import _product_worker, kt_apply_flat, kt_apply_rows
 
 __all__ = [
     "VectorField",
@@ -377,13 +377,15 @@ def solve(inst, max_iter=100_000, tol_residual=1e-9, tol_step=1e-12, z=None, lab
     w_flat = inst.w.flat
     z_flat = None if z is None else as_vector(z)
 
-    def advance(x):
-        tx, resid = kt_apply_flat(inst, x)
-        return haugazeau_projection(w_flat, x, tx), resid
+    with _product_worker(inst.L) as pool:
 
-    points, residuals, termination = _iterate(
-        advance, inst.x0.flat, max_iter, tol_residual, tol_step
-    )
+        def advance(x):
+            tx, resid = kt_apply_flat(inst, x, pool=pool)
+            return haugazeau_projection(w_flat, x, tx), resid
+
+        points, residuals, termination = _iterate(
+            advance, inst.x0.flat, max_iter, tol_residual, tol_step
+        )
     # stacked before the records are built, so the list of iterates is freed first
     points = np.asarray(points)
     return _trajectory(points, residuals, termination, w_flat, z_flat, None, label)

@@ -97,7 +97,8 @@ class L1(MonotoneOperator):
     """Subdifferential of ``weight * ||.||_1``; resolvent is soft thresholding."""
 
     def __init__(self, weight=1.0):
-        if weight <= 0:
+        # negated, so that a NaN weight fails it
+        if not weight > 0:
             raise ValueError(f"l1 weight must be positive, got {weight}")
         self.weight = float(weight)
 
@@ -154,7 +155,8 @@ class BallNormalCone(MonotoneOperator):
     """Normal cone of the closed ball ``B(center, radius)``; resolvent projects radially."""
 
     def __init__(self, center, radius):
-        if radius <= 0:
+        # negated, so that a NaN radius fails it
+        if not radius > 0:
             raise ValueError(f"ball radius must be positive, got {radius}")
         self.center = as_vector(center)
         self.center.setflags(write=False)

@@ -12,7 +12,9 @@ resolvent call on each block produces a separating halfspace for Z, and the
 operator projects the current point onto it.
 """
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,12 @@ __all__ = [
 # Below this cut-normal size the current point is declared a fixed point;
 # the projection formula would otherwise divide by a vanishing norm.
 S_STAR_TOL = 1e-12
+
+# Below about one core's L2 cache, an L's two products run faster on one thread
+# than with one of them handed to a second: the hand-off costs more than it
+# saves.  Full solve steps crossed over between 2.2 and 2.7 MiB of L on a
+# 2-vCPU Xeon with 2 MiB of L2 per vCPU; 3 MiB clears that.
+_OVERLAP_MIN_BYTES = 3 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +89,62 @@ class ProblemInstance:
         return self.dim_p + self.dim_v
 
 
-def _kt_blocks(inst, p, v):
+def _blas_threads():
+    """Threads per BLAS product, read as OpenBLAS reads them; None when BLAS uses every core."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return None
+
+
+def _usable_cpus():
+    """CPUs this process may run on; all of the host's where the OS cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _product_worker(L):
+    """A one-thread pool for :func:`_products`, or None where overlapping would not pay.
+
+    It pays only for an ``L`` of at least ``_OVERLAP_MIN_BYTES``, with a
+    second CPU for this process and BLAS on one thread per product; a
+    multithreaded BLAS already spreads each product over the cores.  The
+    pool is shut, and its thread joined, on exit.
+    """
+    if not (
+        L.matrix.nbytes >= _OVERLAP_MIN_BYTES
+        and _usable_cpus() >= 2
+        and _blas_threads() == 1
+    ):
+        yield None
+        return
+    # imported here: a plain import of mflow starts no thread and loads no executor
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1, thread_name_prefix="mflow-L") as pool:
+        yield pool
+
+
+def _products(L, x, y, pool):
+    """``(L x, L* y)``; with a pool, ``L x`` runs on its worker while this thread computes ``L* y``.
+
+    Each product is the same BLAS call on the same data either way, so the
+    bits do not depend on the pool.
+    """
+    if pool is None:
+        return L.apply(x), L.adjoint(y)
+    lx = pool.submit(L.apply, x)
+    lty = L.adjoint(y)
+    return lx.result(), lty
+
+
+def _kt_blocks(inst, p, v, pool=None):
     """Block resolvents and the separating cut at (p, v).
 
     ``p`` and ``v`` are one point's blocks, or stacks of them with one point
@@ -92,18 +155,21 @@ def _kt_blocks(inst, p, v):
 
     ``a_star``/``b_star`` are the Yosida companions, and the cut is
     ``s = (a_star + L* b_star, b - L a)`` with level ``eta = <a, a_star> +
-    <b, b_star>``.
+    <b, b_star>``.  The two independent products before the resolvents, and
+    the two after, go through :func:`_products` with ``pool``.
     """
     L, gamma, mu = inst.L, inst.gamma, inst.mu
-    ua = p - gamma * L.adjoint(v)
+    lp, ltv = _products(L, p, v, pool)
+    ua = p - gamma * ltv
     a = inst.A.resolvent(gamma, ua)
     a_star = (ua - a) / gamma
 
-    ub = L.apply(p) + mu * v
+    ub = lp + mu * v
     b = inst.B.resolvent(mu, ub)
     b_star = (ub - b) / mu
 
-    s_flat = np.concatenate([a_star + L.adjoint(b_star), b - L.apply(a)], axis=-1)
+    la, ltb_star = _products(L, a, b_star, pool)
+    s_flat = np.concatenate([a_star + ltb_star, b - la], axis=-1)
     if p.ndim == 1:
         # @, not .dot as on flat vectors: a block may have one element (see LinearMap.apply)
         eta = float(a @ a_star + b @ b_star)
@@ -143,14 +209,15 @@ def kt_operator(inst, x):
     return kt_apply_flat(inst, x)[0]
 
 
-def kt_apply_flat(inst, x_flat):
+def kt_apply_flat(inst, x_flat, *, pool=None):
     """Coupling-operator evaluation on a flat vector, with its residual.
 
     Used by the iteration loops.  Returns ``(tx_flat, residual)`` with
     residual ``||Tx - x||``; an unmoved point comes back as ``x`` itself.
+    ``pool`` is a worker of :func:`_product_worker`, or None; it moves no bit.
     """
     n = inst.dim_p
-    _, _, _, _, s_flat, eta = _kt_blocks(inst, x_flat[:n], x_flat[n:])
+    _, _, _, _, s_flat, eta = _kt_blocks(inst, x_flat[:n], x_flat[n:], pool)
     return _cut_projection(x_flat, s_flat, eta)
 
 

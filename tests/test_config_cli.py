@@ -511,6 +511,23 @@ class TestSolveCommand:
         assert code == 1
         assert err.startswith("error: ") and "finite" in err
 
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0], ids=["nan", "zero", "negative"])
+    @pytest.mark.parametrize(
+        "block, key",
+        [({"tag": "l1"}, "weight"), ({"tag": "ball", "center": [0.0]}, "radius")],
+        ids=["l1", "ball"],
+    )
+    def test_nonpositive_block_parameter_exit_one(self, tmp_path, capsys, block, key, value):
+        # without a z, no oracle check stands between the parameter and the first step
+        doc = {k: v for k, v in INSTANCE_DOC.items() if k != "z"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc | {"B": block | {key: value}}))
+        code = main(["solve", "--instance", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{block['tag']} {key} must be positive, got {value}" in err
+
     def test_config_file_supplies_settings(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(

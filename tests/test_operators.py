@@ -91,16 +91,20 @@ def test_invalid_parameters():
     with pytest.raises(ValueError):
         BoxNormalCone([1.0], [0.0])
     with pytest.raises(ValueError):
-        BallNormalCone([0.0], -1.0)
-    with pytest.raises(ValueError):
-        L1(weight=0.0)
-    with pytest.raises(ValueError):
         LinearMonotone([[-1.0]])
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             LinearMap([[bad, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             LinearMonotone([[bad]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+def test_weight_and_radius_must_be_positive(bad):
+    with pytest.raises(ValueError, match=f"l1 weight must be positive, got {bad}"):
+        L1(weight=bad)
+    with pytest.raises(ValueError, match=f"ball radius must be positive, got {bad}"):
+        BallNormalCone([0.0], bad)
 
 
 def _random_point(op, rng):
