@@ -40,22 +40,20 @@ def _setup_logging():
 
 def _out_dir(args):
     out = Path(args.out or "mflow-out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {str(out)!r}: {exc.strerror or exc}") from exc
     return out
 
 
 def _parse_lambdas(raw):
     if raw is None:
         raise ConfigError("missing --lambda list")
-    if isinstance(raw, str):
-        tokens = [tok for tok in raw.split(",") if tok.strip()]
-    elif isinstance(raw, (list, tuple)):
-        tokens = raw
-    else:
-        tokens = [raw]
     try:
-        values = [_real(tok) for tok in tokens]
-    except (TypeError, ValueError) as exc:
+        # the flag's comma-separated string; a run document's list is numbers already
+        values = raw if isinstance(raw, list) else [float(t) for t in raw.split(",") if t.strip()]
+    except ValueError as exc:
         raise ConfigError(f"bad --lambda list {raw!r}: {exc}") from exc
     if not values:
         raise ConfigError("empty --lambda list")
@@ -72,9 +70,16 @@ def _integral(value):
 
 
 def _real(value):
-    if isinstance(value, bool):
+    # a JSON number; float() would also take a string, and bool is an int
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def _reals(value):
+    # a run document's lambda: a number or a list of numbers
+    values = [_real(v) for v in value] if isinstance(value, list) else [_real(value)]
+    return _parse_lambdas(values)
 
 
 def _text(value):
@@ -87,7 +92,7 @@ def _text(value):
 # A command applies the keys it has flags for and ignores the others.
 _RUN_SETTINGS = (
     ("instance", "instance", None),
-    ("lambda", "lam", _parse_lambdas),
+    ("lambda", "lam", _reals),
     ("max_iter", "max_iter", _integral),
     ("tol_residual", "tol_residual", _real),
     ("tol_step", "tol_step", _real),
@@ -155,8 +160,7 @@ def cmd_solve(args):
 def cmd_integrate(args):
     _merge_config(args)
     named = _resolve(args)
-    # a run document's list is parsed in _merge_config, the flag's here
-    lams = args.lam if isinstance(args.lam, list) else _parse_lambdas(args.lam)
+    lams = _parse_lambdas(args.lam)
     # integrate_field's own test and a file name of its own, for each step size before any run
     csv_names = {}
     for lam in lams:

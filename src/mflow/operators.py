@@ -2,9 +2,10 @@
 
 Operators are never materialized as set-valued graphs.  The contract is the
 resolvent ``J(gamma, x)``, the unique ``y`` with ``(x - y)/gamma`` in ``A(y)``,
-i.e. the standard ``(Id + gamma A)^{-1}``.  The Yosida approximation
-``(x - J(gamma, x)) / gamma`` is derived from it and pairs with the resolvent
-output as a graph point of ``A``.
+i.e. the standard ``(Id + gamma A)^{-1}``.  A graph point of ``A`` is
+``(J(gamma, x), (x - J(gamma, x)) / gamma)``, the resolvent paired with the
+Yosida approximation; callers compute the second entry inline, as
+``splitting._kt_blocks`` does.
 
 Resolvents and linear maps take one point (a 1-D array) or a stack of
 points (a ``(k, dim)`` array, one point per row) and map each row as they
@@ -56,25 +57,15 @@ def _check_gamma(gamma):
 class MonotoneOperator:
     """Base contract for a maximally monotone operator.
 
-    Subclasses implement ``resolvent(gamma, x)``.  ``dim`` is the operator's
-    ambient dimension, or None for dimension-agnostic operators (separable
-    per coordinate).  ``member(x, y)`` tests ``y in A(x)`` where an exact
-    graph test exists and raises NotImplementedError otherwise.
+    Subclasses implement ``resolvent(gamma, x)``, the operator's one entry
+    point.  ``dim`` is the operator's ambient dimension, or None for
+    dimension-agnostic operators (separable per coordinate).
     """
 
     dim = None
 
     def resolvent(self, gamma, x):
         raise NotImplementedError
-
-    def yosida(self, gamma, x):
-        """Single-valued approximation ``(x - resolvent(gamma, x)) / gamma``."""
-        _check_gamma(gamma)
-        x = as_vector(x)
-        return (x - self.resolvent(gamma, x)) / gamma
-
-    def member(self, x, y, tol=1e-8):
-        raise NotImplementedError(f"{type(self).__name__} has no graph test")
 
 
 class Quadratic(MonotoneOperator):
@@ -88,9 +79,6 @@ class Quadratic(MonotoneOperator):
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
         return (x + gamma * self.b) / (1.0 + gamma)
-
-    def member(self, x, y, tol=1e-8):
-        return bool(np.max(np.abs(as_vector(y) - (as_vector(x) - self.b))) <= tol)
 
 
 class L1(MonotoneOperator):
@@ -106,14 +94,6 @@ class L1(MonotoneOperator):
         _check_gamma(gamma)
         t = gamma * self.weight
         return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-    def member(self, x, y, tol=1e-8):
-        x = as_vector(x)
-        y = as_vector(y)
-        pos = (x > tol) & (np.abs(y - self.weight) <= tol)
-        neg = (x < -tol) & (np.abs(y + self.weight) <= tol)
-        zero = (np.abs(x) <= tol) & (np.abs(y) <= self.weight + tol)
-        return bool(np.all(pos | neg | zero))
 
 
 class BoxNormalCone(MonotoneOperator):
@@ -138,18 +118,6 @@ class BoxNormalCone(MonotoneOperator):
         below_upper = np.where(x > self.upper, self.upper, x)
         return np.where(x < self.lower, self.lower, below_upper)
 
-    def member(self, x, y, tol=1e-8):
-        x = as_vector(x)
-        y = as_vector(y)
-        if np.any(x < self.lower - tol) or np.any(x > self.upper + tol):
-            return False
-        at_lower = x <= self.lower + tol
-        at_upper = x >= self.upper - tol
-        ok = np.full(x.shape, True)
-        ok &= np.where(at_upper, True, y <= tol)
-        ok &= np.where(at_lower, True, y >= -tol)
-        return bool(np.all(ok))
-
 
 class BallNormalCone(MonotoneOperator):
     """Normal cone of the closed ball ``B(center, radius)``; resolvent projects radially."""
@@ -172,21 +140,6 @@ class BallNormalCone(MonotoneOperator):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.where(dist <= self.radius, x, self.center + (self.radius / dist) * d)
 
-    def member(self, x, y, tol=1e-8):
-        x = as_vector(x)
-        y = as_vector(y)
-        d = x - self.center
-        dist = np.linalg.norm(d)
-        if dist > self.radius + tol:
-            return False
-        ny = np.linalg.norm(y)
-        if ny <= tol:
-            return True
-        # nonzero normals exist only on the boundary, pointing outward
-        if dist < self.radius - tol:
-            return False
-        return bool(np.linalg.norm(y - (ny / dist) * d) <= tol * (1.0 + ny))
-
 
 class Zero(MonotoneOperator):
     """The zero operator; its resolvent is the identity."""
@@ -194,9 +147,6 @@ class Zero(MonotoneOperator):
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
         return np.array(x, dtype=float)
-
-    def member(self, x, y, tol=1e-8):
-        return bool(np.max(np.abs(as_vector(y))) <= tol)
 
 
 class LinearMonotone(MonotoneOperator):
@@ -222,11 +172,6 @@ class LinearMonotone(MonotoneOperator):
         _check_gamma(gamma)
         K = np.eye(self.dim) + gamma * self.matrix
         return np.linalg.solve(K, np.asarray(x, dtype=float)[..., None])[..., 0]
-
-    def member(self, x, y, tol=1e-8):
-        x = as_vector(x)
-        y = as_vector(y)
-        return bool(np.max(np.abs(y - self.matrix @ x)) <= tol * (1.0 + np.abs(x).max()))
 
 
 class LinearMap:

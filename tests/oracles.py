@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: the two-constraint
 projection enumerates KKT candidates over active sets; the cut data is
-rebuilt from first principles.
+rebuilt from first principles; the graph of each catalog operator is
+written out from its definition, not from its resolvent.
 """
 
 import numpy as np
@@ -79,3 +80,69 @@ def two_cut_projection_oracle(w, b, c, tol=1e-9):
     """Reference value for the projection of ``w`` onto the two cuts at (b, c)."""
     normals, offsets = cut_normals(w, b, c)
     return project_two_constraints(w, normals, offsets, tol=tol)
+
+
+def _quadratic_graph(op, x, y, tol):
+    # A x = x - b
+    return bool(np.max(np.abs(y - (x - op.b))) <= tol)
+
+
+def _l1_graph(op, x, y, tol):
+    # the subdifferential of weight * |.| per coordinate: weight * sign(x)
+    # off zero, and [-weight, weight] at zero
+    off_zero = np.abs(x) > tol
+    return bool(
+        np.all(np.abs(y[off_zero] - op.weight * np.sign(x[off_zero])) <= tol)
+        and np.all(np.abs(y[~off_zero]) <= op.weight + tol)
+    )
+
+
+def _box_graph(op, x, y, tol):
+    # x in the box; per coordinate, y_i > 0 only at the upper bound and y_i < 0
+    # only at the lower one
+    inside = np.all(x >= op.lower - tol) and np.all(x <= op.upper + tol)
+    outward = np.all((y <= tol) | (x >= op.upper - tol))
+    inward = np.all((y >= -tol) | (x <= op.lower + tol))
+    return bool(inside and outward and inward)
+
+
+def _ball_graph(op, x, y, tol):
+    # x in the ball; y = 0, or x on the sphere and y a nonnegative multiple of x - center
+    d = x - op.center
+    dist, ny = np.linalg.norm(d), np.linalg.norm(y)
+    if dist > op.radius + tol:
+        return False
+    if ny <= tol:
+        return True
+    on_sphere = dist >= op.radius - tol
+    return bool(on_sphere and np.linalg.norm(y - (ny / dist) * d) <= tol * (1.0 + ny))
+
+
+def _zero_graph(op, x, y, tol):
+    return bool(np.max(np.abs(y)) <= tol)
+
+
+def _linear_graph(op, x, y, tol):
+    # A x = M x
+    return bool(np.max(np.abs(y - op.matrix @ x)) <= tol * (1.0 + np.abs(x).max()))
+
+
+_GRAPHS = {
+    "Quadratic": _quadratic_graph,
+    "L1": _l1_graph,
+    "BoxNormalCone": _box_graph,
+    "BallNormalCone": _ball_graph,
+    "Zero": _zero_graph,
+    "LinearMonotone": _linear_graph,
+}
+
+
+def in_graph(op, x, y, tol=1e-8):
+    """Whether ``y`` lies in ``A(x)`` up to ``tol``, for a catalog operator ``op``.
+
+    Each graph reads only the operator's parameters (``b``, ``weight``,
+    ``lower``/``upper``, ``center``/``radius``, ``matrix``).
+    """
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    return _GRAPHS[type(op).__name__](op, x, y, tol)

@@ -106,7 +106,9 @@ class TestConfig:
         ("solve", "quadratic1d", "max_iter", True),
         ("solve", "quadratic1d", "tol_residual", [1e-3]),
         ("solve", "quadratic1d", "tol_residual", True),
+        ("solve", "quadratic1d", "tol_residual", "1e-3"),
         ("solve", "quadratic1d", "tol_step", False),
+        ("solve", "quadratic1d", "tol_step", "1e-9"),
         ("solve", "quadratic1d", "mode", "euler"),
         ("solve", "quadratic1d", "out", None),
         ("check", "quadratic1d", "samples", "many"),
@@ -117,6 +119,8 @@ class TestConfig:
         ("integrate", "lens-drift", "lambda", ["x"]),
         ("integrate", "lens-drift", "lambda", True),
         ("integrate", "lens-drift", "lambda", [0.5, True]),
+        ("integrate", "lens-drift", "lambda", "0.5"),
+        ("integrate", "lens-drift", "lambda", ["0.5"]),
     ],
     ids=[
         "max_iter",
@@ -125,7 +129,9 @@ class TestConfig:
         "max_iter_bool",
         "tol_residual",
         "tol_residual_bool",
+        "tol_residual_string",
         "tol_step_bool",
+        "tol_step_string",
         "mode",
         "out_null",
         "samples",
@@ -136,6 +142,8 @@ class TestConfig:
         "lambda",
         "lambda_bool",
         "lambda_list_bool",
+        "lambda_string",
+        "lambda_list_string",
     ],
 )
 def test_run_config_value_of_wrong_type_exit_one(
@@ -152,6 +160,27 @@ def test_run_config_value_of_wrong_type_exit_one(
     assert repr(key) in lines[0] and "run.json" in lines[0]
     # nothing is written, in the output directory or (for "out": null) anywhere else
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--instance", "quadratic1d", "--max-iter", "5"],
+        ["check", "--instance", "quadratic1d", "--samples", "16"],
+    ],
+    ids=["solve", "check"],
+)
+def test_out_naming_a_file_exit_one(tmp_path, capsys, argv):
+    # the command runs, and then its output directory cannot be made
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    code = main(argv + ["--out", str(taken)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert repr(str(taken)) in lines[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert taken.read_text() == "kept"
 
 
 def test_run_config_integral_float_is_an_integer(tmp_path):
