@@ -11,7 +11,6 @@ from .diagnostics import (
     check_outward_drift,
     check_projection_conditions,
     check_unique_zero,
-    convergence_report,
     sample_cap,
 )
 from .dynamics import (
@@ -84,7 +83,6 @@ __all__ = [
     "check_outward_drift",
     "check_projection_conditions",
     "check_unique_zero",
-    "convergence_report",
     "euler_defect",
     "euler_eval",
     "euler_nodes",

@@ -38,8 +38,15 @@ def _setup_logging():
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
-def _out_dir(args):
+def _out_path(args):
+    # called before the work, so that an --out naming a file fails at once, not after the run
     out = Path(args.out or "mflow-out")
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output directory {str(out)!r}: File exists")
+    return out
+
+
+def _out_dir(out):
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -140,8 +147,9 @@ def cmd_solve(args):
         for key in ("max_iter", "tol_residual", "tol_step")
         if getattr(args, key) is not None
     }
+    out = _out_path(args)
     traj = dynamics.solve(named.instance, z=named.z, label=named.tag, **stops)
-    out = _out_dir(args)
+    _out_dir(out)
     csv_path = out / f"{named.tag}_trajectory.csv"
     traj.write_csv(csv_path)
     summary = traj.summary()
@@ -169,7 +177,7 @@ def cmd_integrate(args):
         if name in csv_names:
             raise ConfigError(f"step sizes {csv_names[name]!r} and {lam!r} both write {name}")
         csv_names[name] = lam
-    out = _out_dir(args)
+    out = _out_dir(_out_path(args))
 
     fld = named.extended_field or named.flow_field()
     x0 = _integration_start(args, named)
@@ -252,6 +260,7 @@ def cmd_check(args):
         )
     n_samples = 512 if args.samples is None else args.samples
     seed = 0 if args.seed is None else args.seed
+    out = _out_path(args)
     samples = diagnostics.sample_cap(named.cap, n_samples=n_samples, seed=seed)
     # each map runs once, on z stacked on the samples; the checks score those values
     points = np.vstack([named.cap.z, samples])
@@ -272,8 +281,7 @@ def cmd_check(args):
     if named.instance is not None:
         reports.extend(diagnostics.check_projection_conditions(tx, q, named.cap, samples))
 
-    out = _out_dir(args)
-    report_path = out / f"{named.tag}_checks.json"
+    report_path = _out_dir(out) / f"{named.tag}_checks.json"
     report_path.write_text(
         json.dumps([rep.to_dict() for rep in reports], indent=2)
     )

@@ -1,4 +1,4 @@
-"""Sampled verification of the flow's standing assumptions and convergence reporting.
+"""Sampled verification of the flow's standing assumptions.
 
 The admissible cap is a continuum, so a desk-scale artifact can only sample
 it; every check below states its sample count and reports the worst signed
@@ -17,7 +17,6 @@ import numpy as np
 
 from .dynamics import NonFiniteError, _integer
 from .geometry import GEOM_TOL, cap_membership
-from .space import as_vector
 
 __all__ = [
     "AssumptionReport",
@@ -26,16 +25,12 @@ __all__ = [
     "check_cap_invariance",
     "check_outward_drift",
     "check_projection_conditions",
-    "convergence_report",
 ]
 
 # Rejection sampling gives up after this many R_d batches.
 SAMPLE_MAX_BATCHES = 64
 # Step fractions h at which check_cap_invariance tests the segment x + h F(x).
 INVARIANCE_STEPS = (0.25, 0.5, 0.75, 1.0)
-# Tolerance and rounding allowance of convergence_report's tail-containment test.
-TAIL_EPSILON = 1e-4
-TAIL_SLACK = 1e-9
 
 
 @dataclass(eq=False)
@@ -312,41 +307,3 @@ def check_projection_conditions(tx, q, cap, samples):
             lambda i: {"projection": proj[i]},
         ),
     ]
-
-
-def convergence_report(traj, z, w):
-    """Summarize a run from anchor ``w`` against a known solution ``z``.
-
-    Reports the final error, the first iterate crossing each error decade,
-    and whether the tail-containment property holds: once
-    ``||x_n - w||^2 >= ||w - z||^2 - TAIL_EPSILON``, every later iterate
-    satisfies ``||x_m - z||^2 <= TAIL_EPSILON + TAIL_SLACK``.
-    """
-    z = as_vector(z)
-    pts = traj.points
-    errs = np.linalg.norm(pts - z, axis=1)
-    final_err = float(errs[-1])
-
-    decades = {}
-    level = 1.0
-    for k, e in enumerate(errs):
-        while level > 1e-16 and e <= level:
-            decades[f"{level:.0e}"] = int(k)
-            level /= 10.0
-
-    gap = float(np.sum((as_vector(w) - z) ** 2))
-    reached = traj.norm_to_w**2 >= gap - TAIL_EPSILON
-    tail_ok = True
-    crossing = None
-    if np.any(reached):
-        crossing = int(np.argmax(reached))
-        tail_ok = bool(np.all(errs[crossing:] ** 2 <= TAIL_EPSILON + TAIL_SLACK))
-    return {
-        "final_error": final_err,
-        "iterations": traj.iterations,
-        "termination": traj.termination,
-        "decade_crossings": decades,
-        "tail_epsilon": TAIL_EPSILON,
-        "tail_crossing_index": crossing,
-        "tail_contained": tail_ok,
-    }

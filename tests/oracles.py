@@ -1,10 +1,12 @@
 """Independent reference computations used to check the library.
 
-These deliberately avoid the library's own code paths: the two-constraint
-projection enumerates KKT candidates over active sets; the cut data is
+These deliberately avoid the library's own code paths: the projection onto
+a polyhedron enumerates KKT candidates over active sets; the cut data is
 rebuilt from first principles; the graph of each catalog operator is
 written out from its definition, not from its resolvent.
 """
+
+import itertools
 
 import numpy as np
 
@@ -39,12 +41,14 @@ def fejer_slack(w, z, x):
     return float(np.sum((w - z) ** 2) - np.sum((w - x) ** 2) - np.sum((x - z) ** 2))
 
 
-def project_two_constraints(w, normals, offsets, tol=1e-9):
+def project_polyhedron(w, normals, offsets, tol=1e-9):
     """Projection of ``w`` onto ``{h : <h, a_i> <= beta_i}`` by active-set enumeration.
 
-    Candidates: the free point, each single-constraint KKT point, and the
-    two-constraint KKT point (Gram solve).  The closest feasible candidate
-    is the projection.  Returns None when nothing feasible exists.
+    Candidates: for every set of constraints with independent normals, the
+    KKT point with exactly that set active (a Gram solve; the empty set gives
+    ``w`` itself).  The closest feasible candidate is the projection.
+    Returns None when nothing feasible exists.  The enumeration is
+    exponential in the number of constraints, so it suits small cases only.
     """
     w = np.asarray(w, float)
     live = [
@@ -53,15 +57,14 @@ def project_two_constraints(w, normals, offsets, tol=1e-9):
         if float(a @ a) > 0.0
     ]
     candidates = [w.copy()]
-    for a, beta in live:
-        candidates.append(w - ((w @ a - beta) / (a @ a)) * a)
-    if len(live) == 2:
-        A = np.vstack([live[0][0], live[1][0]])
-        beta = np.array([live[0][1], live[1][1]])
-        gram = A @ A.T
-        if abs(np.linalg.det(gram)) > 1e-13 * gram[0, 0] * gram[1, 1]:
-            lam = np.linalg.solve(gram, A @ w - beta)
-            candidates.append(w - A.T @ lam)
+    for k in range(1, min(len(live), len(w)) + 1):
+        for active in itertools.combinations(live, k):
+            A = np.array([a for a, _ in active])
+            beta = np.array([b for _, b in active])
+            gram = A @ A.T
+            # a dependent set's KKT point, where there is one, is also an independent set's
+            if abs(np.linalg.det(gram)) > 1e-13 * np.prod(np.diag(gram)):
+                candidates.append(w - A.T @ np.linalg.solve(gram, A @ w - beta))
 
     scale = 1.0 + float(np.linalg.norm(w)) + max(
         (abs(beta) for _, beta in live), default=0.0
@@ -79,7 +82,7 @@ def project_two_constraints(w, normals, offsets, tol=1e-9):
 def two_cut_projection_oracle(w, b, c, tol=1e-9):
     """Reference value for the projection of ``w`` onto the two cuts at (b, c)."""
     normals, offsets = cut_normals(w, b, c)
-    return project_two_constraints(w, normals, offsets, tol=tol)
+    return project_polyhedron(w, normals, offsets, tol=tol)
 
 
 def _quadratic_graph(op, x, y, tol):

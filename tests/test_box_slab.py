@@ -1,0 +1,118 @@
+"""Best approximation where the Kuhn-Tucker set is not a point: the box-slab instances.
+
+``A = N_[0,1]^2`` and ``B = N_[0.5,1.5]`` are normal cones, coupled by
+``L = [[1, 1]]``.  So ``Z = P x D`` with ``P = [0,1]^2 & {0.5 <= p1 + p2 <= 1.5}``,
+and ``D = {0}`` because ``p = (0.5, 0.5)`` is a Slater point (``p`` inside the
+square, ``L p = 1`` inside the slab).  ``Z`` is a polygon, so reaching some point
+of ``Z`` is not enough: the scheme must reach ``P_Z w``, which
+:func:`oracles.project_polyhedron` computes by enumeration.  Plain iteration of
+``T`` from the same start settles elsewhere in ``Z``, so these cases tell the
+two apart.  Each run starts at its anchor.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from mflow import build_field, fixed_point_operator, integrate_field
+from mflow.cli import main
+from mflow.config import instance_from_doc
+
+from .oracles import project_polyhedron
+
+# Z in (p1, p2, v) as {h : <h, a_i> <= beta_i}: the square, the slab, and v = 0
+Z_NORMALS = np.array([
+    (-1, 0, 0), (0, -1, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1),
+], float)
+Z_OFFSETS = [0, 0, 1, 1, 1.5, -0.5, 0, 0]
+
+# anchor w, its P_Z w, and bounds measured with a margin of about 2x (the first
+# and third anchors are solved exactly after 3 steps): the final error of
+# `mflow solve --max-iter 2000` with its exit code, and the error of relaxed
+# Euler at lambda = 0.5 at t = 2000
+ANCHORS = {
+    "interior": ((1.2, 1.1, 0.9), (0.8, 0.7, 0.0), 0, 1e-14, 3e-5),
+    "corner": ((2.0, -1.0, 0.7), (1.0, 0.0, 0.0), 2, 1.5e-3, 2e-3),
+    "edge": ((-0.5, -0.3, -0.4), (0.15, 0.35, 0.0), 0, 1e-14, 3e-6),
+}
+# plain x <- Tx ends 0.44, 0.23 and 0.15 from P_Z w after this many steps
+PLAIN_STEPS = 2000
+PLAIN_MIN_DISTANCE = 0.1
+
+
+def _doc(w):
+    w = list(map(float, w))
+    start = {"p": w[:2], "v": w[2:]}
+    return {
+        "name": "box-slab",
+        "A": {"tag": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+        "B": {"tag": "box", "lower": [0.5], "upper": [1.5]},
+        "L": [[1.0, 1.0]],
+        "gamma": 0.5,
+        "mu": 0.5,
+        "w": start,
+        "x0": start,
+        "z": project_polyhedron(w, Z_NORMALS, Z_OFFSETS).tolist(),
+    }
+
+
+@pytest.fixture(params=list(ANCHORS), ids=list(ANCHORS))
+def anchor(request, tmp_path):
+    """An anchor's instance file, its ``P_Z w``, its bounds and its instance."""
+    w, expected, code, solve_bound, euler_bound = ANCHORS[request.param]
+    doc = _doc(w)
+    path = tmp_path / "box-slab.json"
+    path.write_text(json.dumps(doc))
+    return path, np.array(doc["z"]), code, solve_bound, euler_bound, instance_from_doc(doc)
+
+
+def _invariants_hold(norm_to_w, fejer_slack):
+    # criterion 3: the distance to w never decreases and x stays in the spanned ball
+    return np.min(np.diff(norm_to_w), initial=0.0) >= -1e-10 and np.min(fejer_slack) >= -1e-10
+
+
+@pytest.mark.parametrize("name", list(ANCHORS))
+def test_oracle_reproduces_the_projections(name):
+    w, expected = ANCHORS[name][:2]
+    got = project_polyhedron(w, Z_NORMALS, Z_OFFSETS)
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_mflow_solve_reaches_the_projection(anchor, tmp_path):
+    path, pzw, code, solve_bound, _, _ = anchor
+    out = tmp_path / "out"
+    assert main(["solve", "--instance", str(path), "--max-iter", "2000", "--out", str(out)]) == code
+    summary = json.loads((out / "box-slab_summary.json").read_text())
+    assert np.linalg.norm(np.array(summary["final_point"]) - pzw) == summary["final_error"]
+    assert summary["final_error"] <= solve_bound
+    records = np.genfromtxt(out / "box-slab_trajectory.csv", delimiter=",", names=True)
+    assert _invariants_hold(records["norm_to_w"], records["fejer_slack"])
+
+
+def test_mflow_check_passes(anchor, tmp_path):
+    path = anchor[0]
+    out = tmp_path / "out"
+    assert main(["check", "--instance", str(path), "--out", str(out)]) == 0
+    reports = json.loads((out / "box-slab_checks.json").read_text())
+    assert len(reports) == 5 and all(rep["passed"] for rep in reports)
+
+
+def test_relaxed_euler_heads_for_the_projection(anchor):
+    _, pzw, _, _, euler_bound, named = anchor
+    inst = named.instance
+    traj = integrate_field(build_field(inst, named.cap), inst.x0.flat, 0.5, 2000.0, z=pzw)
+    assert np.linalg.norm(traj.final - pzw) <= euler_bound
+    assert _invariants_hold(traj.norm_to_w, traj.fejer_slack)
+
+
+def test_plain_iteration_settles_elsewhere_in_z(anchor):
+    # the best-approximation property is what the other tests see: a plain
+    # Fejer iteration of T converges into Z too, but not to P_Z w
+    _, pzw, _, solve_bound, euler_bound, named = anchor
+    T = fixed_point_operator("kuhn_tucker", instance=named.instance)
+    x = named.instance.x0.flat
+    for _ in range(PLAIN_STEPS):
+        x = T(x)
+    assert np.linalg.norm(project_polyhedron(x, Z_NORMALS, Z_OFFSETS) - x) <= 1e-12
+    assert np.linalg.norm(x - pzw) >= PLAIN_MIN_DISTANCE > 10 * max(solve_bound, euler_bound)

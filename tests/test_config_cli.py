@@ -163,15 +163,19 @@ def test_run_config_value_of_wrong_type_exit_one(
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, work",
     [
-        ["solve", "--instance", "quadratic1d", "--max-iter", "5"],
-        ["check", "--instance", "quadratic1d", "--samples", "16"],
+        (["solve", "--instance", "quadratic1d", "--max-iter", "5"], "mflow.dynamics.solve"),
+        (["check", "--instance", "quadratic1d", "--samples", "16"], "mflow.diagnostics.sample_cap"),
     ],
     ids=["solve", "check"],
 )
-def test_out_naming_a_file_exit_one(tmp_path, capsys, argv):
-    # the command runs, and then its output directory cannot be made
+def test_out_naming_a_file_exit_one(tmp_path, capsys, monkeypatch, argv, work):
+    # the output directory cannot be made, and that is reported before the command's work
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(work, refuse)
     taken = tmp_path / "taken"
     taken.write_text("kept")
     code = main(argv + ["--out", str(taken)])

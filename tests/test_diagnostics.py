@@ -15,11 +15,9 @@ from mflow import (
     check_outward_drift,
     check_projection_conditions,
     check_unique_zero,
-    convergence_report,
     fixed_point_operator,
     get_instance,
     sample_cap,
-    solve,
 )
 from mflow import diagnostics, geometry, splitting
 from mflow.cli import main
@@ -440,6 +438,14 @@ class TestCapInvariance:
         rep = check_cap_invariance(_at(zero, lens.z, lens_samples), lens.cap, lens_samples)
         assert rep.passed
 
+    def test_reports_deterministic(self, lens, lens_samples):
+        a, b = (
+            check_cap_invariance(_at(lens.field, lens.z, lens_samples), lens.cap, lens_samples)
+            for _ in range(2)
+        )
+        assert a.worst_violation == b.worst_violation
+        assert np.array_equal(a.witness, b.witness)
+
 
 class TestOutwardDrift:
     def test_passes_on_lens_drift(self, lens, lens_samples, lens_values):
@@ -558,45 +564,3 @@ class TestProjectionConditions:
         expected = _at(build_field(named.instance), named.z, samples)
         assert values.shape == expected.shape == (129, named.z.shape[0])
         assert values.tobytes() == expected.tobytes()
-
-
-class TestConvergenceReport:
-    def test_converged_run(self):
-        named = get_instance("quadratic1d")
-        traj = solve(named.instance, max_iter=10_000, z=named.z)
-        rep = convergence_report(traj, named.z, w=named.cap.w)
-        assert rep["final_error"] <= 1e-6
-        assert rep["tail_contained"]
-        assert rep["decade_crossings"]["1e-03"] <= rep["decade_crossings"]["1e-05"]
-
-    def test_stationary_start(self):
-        named = get_instance("quadratic1d")
-        inst = named.instance
-        at_solution = type(inst)(
-            A=inst.A,
-            B=inst.B,
-            L=inst.L,
-            gamma=inst.gamma,
-            mu=inst.mu,
-            w=inst.w,
-            x0=type(inst.x0).from_flat(named.z, 1),
-        )
-        traj = solve(at_solution, z=named.z)
-        rep = convergence_report(traj, named.z, w=named.cap.w)
-        assert rep["final_error"] <= 1e-12
-        assert rep["tail_contained"]
-
-    def test_tail_containment_scan(self):
-        for tag in ("quadratic3x2", "lasso1d", "lasso3x2"):
-            named = get_instance(tag)
-            traj = solve(named.instance, max_iter=3000, z=named.z)
-            rep = convergence_report(traj, named.z, w=named.cap.w)
-            assert rep["tail_contained"], tag
-
-    def test_reports_deterministic(self, lens, lens_samples):
-        a, b = (
-            check_cap_invariance(_at(lens.field, lens.z, lens_samples), lens.cap, lens_samples)
-            for _ in range(2)
-        )
-        assert a.worst_violation == b.worst_violation
-        assert np.array_equal(a.witness, b.witness)

@@ -268,7 +268,7 @@ class TestSolve:
             assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
     def test_monotone_distance_and_fejer_slack(self):
-        for tag in ("quadratic1d", "quadratic3x2", "lasso1d"):
+        for tag in ("quadratic1d", "quadratic3x2", "lasso1d", "lasso3x2"):
             named = get_instance(tag)
             traj = solve(named.instance, max_iter=2000, z=named.z)
             diffs = np.diff(traj.norm_to_w)

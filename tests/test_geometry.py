@@ -17,7 +17,7 @@ from mflow import (
 )
 from mflow.geometry import haugazeau_rows
 
-from .oracles import cut, project_two_constraints, two_cut_projection_oracle
+from .oracles import cut, project_polyhedron, two_cut_projection_oracle
 
 
 def vector(data, dim, power=0):
@@ -260,7 +260,7 @@ class TestProjectOntoHalfspaces:
         cuts = [(normals[:, i], offsets[:, i]) for i in (0, 1)]
         got = project_onto_halfspaces(cuts, w)
         for row, a, beta in zip(got, normals, offsets):
-            ref = project_two_constraints(w, a, beta)
+            ref = project_polyhedron(w, a, beta)
             assert np.linalg.norm(row - ref) <= 1e-9 * (1.0 + np.linalg.norm(ref))
 
     @settings(max_examples=300, deadline=None)
@@ -277,7 +277,7 @@ class TestProjectOntoHalfspaces:
         # the enumeration's feasibility tolerance is in distance units on unit normals
         norms = [np.linalg.norm(n) for n, _ in cuts]
         unit = [(n / s, o / s) if s > 0 else (n, o) for (n, o), s in zip(cuts, norms)]
-        ref = project_two_constraints(w, *zip(*unit))
+        ref = project_polyhedron(w, *zip(*unit))
         assert ref is not None
         scale = 1.0 + np.linalg.norm(w) + max(abs(o) for _, o in unit)
         tol = 1e-8 * (scale + np.linalg.norm(w - ref))
