@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, dynamics
-from .config import ConfigError, load_json, resolve_instance
+from .config import ConfigError, resolve_instance
 from .geometry import EmptyIntersectionError, haugazeau_projection, haugazeau_rows
 from .problems import builtin_tags
 from .space import as_vector
@@ -39,10 +39,15 @@ def _setup_logging():
 
 
 def _out_path(args):
-    # called before the work, so that an --out naming a file fails at once, not after the run
+    # called before the work, so that an --out that cannot be made fails at once, not after
+    # the run: the nearest existing one of it and its ancestors must be a directory
     out = Path(args.out or "mflow-out")
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"output directory {str(out)!r}: File exists")
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                reason = "File exists" if path == out else "Not a directory"
+                raise ConfigError(f"output directory {str(out)!r}: {reason}")
+            break
     return out
 
 
@@ -58,8 +63,7 @@ def _parse_lambdas(raw):
     if raw is None:
         raise ConfigError("missing --lambda list")
     try:
-        # the flag's comma-separated string; a run document's list is numbers already
-        values = raw if isinstance(raw, list) else [float(t) for t in raw.split(",") if t.strip()]
+        values = [float(t) for t in raw.split(",") if t.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --lambda list {raw!r}: {exc}") from exc
     if not values:
@@ -67,78 +71,8 @@ def _parse_lambdas(raw):
     return values
 
 
-def _integral(value):
-    # a JSON number with no fractional part (1000 or 1e3); int() would truncate 16.7
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value):
-    # a JSON number; float() would also take a string, and bool is an int
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _reals(value):
-    # a run document's lambda: a number or a list of numbers
-    values = [_real(v) for v in value] if isinstance(value, list) else [_real(value)]
-    return _parse_lambdas(values)
-
-
-def _text(value):
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
-    return value
-
-
-# Run-config keys: (JSON key, argument attribute, conversion of the JSON value).
-# A command applies the keys it has flags for and ignores the others.
-_RUN_SETTINGS = (
-    ("instance", "instance", None),
-    ("lambda", "lam", _reals),
-    ("max_iter", "max_iter", _integral),
-    ("tol_residual", "tol_residual", _real),
-    ("tol_step", "tol_step", _real),
-    ("seed", "seed", _integral),
-    ("out", "out", _text),
-    ("samples", "samples", _integral),
-)
-
-
-def _merge_config(args):
-    """Overlay the --config values the command has flags for under explicit flags."""
-    if not args.config:
-        return
-    doc = load_json(args.config)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{args.config}: run configuration must be an object")
-    unknown = sorted(doc.keys() - {key for key, _, _ in _RUN_SETTINGS})
-    if unknown:
-        raise ConfigError(f"{args.config}: no command takes {', '.join(map(repr, unknown))}")
-    for key, attr, convert in _RUN_SETTINGS:
-        if key in doc and hasattr(args, attr) and getattr(args, attr) is None:
-            value = doc[key]
-            if convert is not None:
-                try:
-                    value = convert(value)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ConfigError(f"{args.config}: bad {key!r}: {exc}") from exc
-            setattr(args, attr, value)
-
-
-def _resolve(args):
-    if args.instance is None:
-        raise ConfigError("no instance selected (use --instance or --config)")
-    return resolve_instance(args.instance, path=args.config or "<cli>")
-
-
 def cmd_solve(args):
-    _merge_config(args)
-    named = _resolve(args)
+    named = resolve_instance(args.instance)
     if named.instance is None:
         raise ConfigError(f"instance {named.tag!r} is a raw field; use 'integrate'")
     # only the settings given are passed on; dynamics.solve holds the defaults
@@ -166,8 +100,7 @@ def cmd_solve(args):
 
 
 def cmd_integrate(args):
-    _merge_config(args)
-    named = _resolve(args)
+    named = resolve_instance(args.instance)
     lams = _parse_lambdas(args.lam)
     # integrate_field's own test and a file name of its own, for each step size before any run
     csv_names = {}
@@ -252,8 +185,7 @@ def _integration_start(args, named):
 
 
 def cmd_check(args):
-    _merge_config(args)
-    named = _resolve(args)
+    named = resolve_instance(args.instance)
     if named.cap is None or named.z is None:
         raise ConfigError(
             f"instance {named.tag!r} has no solution/cap attached; checks need both"
@@ -326,9 +258,9 @@ def build_parser():
     def add_common(p):
         p.add_argument(
             "--instance",
+            required=True,
             help=f"built-in tag ({', '.join(builtin_tags())}) or instance JSON path",
         )
-        p.add_argument("--config", help="run configuration JSON path")
         p.add_argument("--out", default=None, help="output directory (default mflow-out)")
 
     p_solve = sub.add_parser("solve", help="run the discrete scheme")

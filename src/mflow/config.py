@@ -1,4 +1,4 @@
-"""JSON configuration: custom instances and run settings.
+"""JSON instance documents: custom instances for ``--instance file.json``.
 
 An instance document looks like::
 
@@ -14,10 +14,7 @@ An instance document looks like::
       "floor_fraction": 0.25      // optional cap floor as a fraction of ||w-z||^2
     }
 
-A run document may carry any of the CLI settings (``instance``, ``lambda``,
-``max_iter``, ``tol_residual``, ``tol_step``, ``seed``, ``out``, ``samples``),
-with an inline instance under ``instance``.  A command applies the settings it
-has flags for and ignores the others; a key that no command takes is an error.
+Run settings are command-line flags only; no document carries them.
 """
 
 import json
@@ -92,10 +89,8 @@ def instance_from_doc(doc, path="<config>"):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def resolve_instance(selector, path="<config>"):
-    """Resolve a built-in tag, a JSON file path, or an inline document."""
-    if isinstance(selector, dict):
-        return instance_from_doc(selector, path)
+def resolve_instance(selector):
+    """Resolve a built-in tag or the path of a JSON instance document."""
     selector = str(selector)
     if selector.endswith(".json"):
         return instance_from_doc(load_json(selector), selector)

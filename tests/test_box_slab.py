@@ -7,15 +7,19 @@ square, ``L p = 1`` inside the slab).  ``Z`` is a polygon, so reaching some poin
 of ``Z`` is not enough: the scheme must reach ``P_Z w``, which
 :func:`oracles.project_polyhedron` computes by enumeration.  Plain iteration of
 ``T`` from the same start settles elsewhere in ``Z``, so these cases tell the
-two apart.  Each run starts at its anchor.
+two apart.  Each run starts at its anchor.  A ``hypothesis`` property repeats
+the solve on random instances of the same family.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mflow import build_field, fixed_point_operator, integrate_field
+from mflow import build_field, fixed_point_operator, integrate_field, solve
 from mflow.cli import main
 from mflow.config import instance_from_doc
 
@@ -116,3 +120,57 @@ def test_plain_iteration_settles_elsewhere_in_z(anchor):
         x = T(x)
     assert np.linalg.norm(project_polyhedron(x, Z_NORMALS, Z_OFFSETS) - x) <= 1e-12
     assert np.linalg.norm(x - pzw) >= PLAIN_MIN_DISTANCE > 10 * max(solve_bound, euler_bound)
+
+
+# Random box-slab instances: A = N_C1 for a box C1 in R^n, B = N_C2 for a box C2 in
+# R^m, and a random L.  C2 is drawn around L p for a point p inside C1, so p is a
+# Slater point, D = {0} and P_Z w = (P_P w_p, 0) with P = C1 & L^-1 C2.  Measured
+# after 1000 steps, the error is at most 0.041 ||w - P_Z w|| over 3,600 numpy draws
+# of this family (each end point of a range drawn 15% of the time) and 0.018 over
+# 1,500 examples of this strategy, so the bound has a margin of about 2.4x.  A run
+# that starts within solve's residual tolerance of Z stops at once, hence the slack.
+RANDOM_STEPS = 1000
+RANDOM_BOUND = 0.1
+RANDOM_SLACK = 1e-7
+
+
+def _reals(shape, lo, hi):
+    return arrays(float, shape, elements=st.floats(lo, hi))
+
+
+@st.composite
+def random_box_slabs(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    lower = draw(_reals(n, -1.0, 1.0))
+    upper = lower + draw(_reals(n, 0.5, 2.0))
+    slater = lower + draw(_reals(n, 0.2, 0.8)) * (upper - lower)
+    L = draw(_reals((m, n), -2.0, 2.0))
+    lower2 = L @ slater - draw(_reals(m, 0.1, 1.0))
+    upper2 = L @ slater + draw(_reals(m, 0.1, 1.0))
+    w = draw(_reals(n + m, -3.0, 3.0))
+    start = {"p": w[:n].tolist(), "v": w[n:].tolist()}
+    doc = {
+        "A": {"tag": "box", "lower": lower.tolist(), "upper": upper.tolist()},
+        "B": {"tag": "box", "lower": lower2.tolist(), "upper": upper2.tolist()},
+        "L": L.tolist(),
+        "gamma": draw(st.floats(0.2, 0.8)),
+        "mu": draw(st.floats(0.2, 0.8)),
+        "w": start,
+        "x0": start,
+    }
+    # P = {p : p <= upper, -p <= -lower, L p <= upper2, -L p <= -lower2}
+    eye = np.eye(n)
+    normals = np.vstack([eye, -eye, L, -L])
+    offsets = np.concatenate([upper, -lower, upper2, -lower2])
+    pzw = np.concatenate([project_polyhedron(w[:n], normals, offsets), np.zeros(m)])
+    return doc, w, pzw
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(random_box_slabs())
+def test_solve_heads_for_the_projection_on_random_box_slabs(case):
+    doc, w, pzw = case
+    traj = solve(instance_from_doc(doc).instance, max_iter=RANDOM_STEPS, z=pzw)
+    assert _invariants_hold(traj.norm_to_w, traj.fejer_slack)
+    error = np.linalg.norm(traj.final - pzw)
+    assert error <= RANDOM_BOUND * np.linalg.norm(w - pzw) + RANDOM_SLACK

@@ -97,80 +97,25 @@ class TestConfig:
             resolve_instance("nope")
 
 
-@pytest.mark.parametrize(
-    "command, instance, key, value",
-    [
-        ("solve", "quadratic1d", "max_iter", "abc"),
-        ("solve", "quadratic1d", "max_iter", 10.9),
-        ("solve", "quadratic1d", "max_iter", "10"),
-        ("solve", "quadratic1d", "max_iter", True),
-        ("solve", "quadratic1d", "tol_residual", [1e-3]),
-        ("solve", "quadratic1d", "tol_residual", True),
-        ("solve", "quadratic1d", "tol_residual", "1e-3"),
-        ("solve", "quadratic1d", "tol_step", False),
-        ("solve", "quadratic1d", "tol_step", "1e-9"),
-        ("solve", "quadratic1d", "mode", "euler"),
-        ("solve", "quadratic1d", "out", None),
-        ("check", "quadratic1d", "samples", "many"),
-        ("check", "quadratic1d", "samples", 16.7),
-        ("check", "quadratic1d", "samples", True),
-        ("check", "quadratic1d", "seed", 0.5),
-        ("check", "quadratic1d", "seed", False),
-        ("integrate", "lens-drift", "lambda", ["x"]),
-        ("integrate", "lens-drift", "lambda", True),
-        ("integrate", "lens-drift", "lambda", [0.5, True]),
-        ("integrate", "lens-drift", "lambda", "0.5"),
-        ("integrate", "lens-drift", "lambda", ["0.5"]),
-    ],
-    ids=[
-        "max_iter",
-        "max_iter_fraction",
-        "max_iter_string",
-        "max_iter_bool",
-        "tol_residual",
-        "tol_residual_bool",
-        "tol_residual_string",
-        "tol_step_bool",
-        "tol_step_string",
-        "mode",
-        "out_null",
-        "samples",
-        "samples_fraction",
-        "samples_bool",
-        "seed_fraction",
-        "seed_bool",
-        "lambda",
-        "lambda_bool",
-        "lambda_list_bool",
-        "lambda_string",
-        "lambda_list_string",
-    ],
+# a command line, and the work it does before writing to --out
+SOLVE_WORK = (["solve", "--instance", "quadratic1d", "--max-iter", "5"], "mflow.dynamics.solve")
+CHECK_WORK = (
+    ["check", "--instance", "quadratic1d", "--samples", "16"],
+    "mflow.diagnostics.sample_cap",
 )
-def test_run_config_value_of_wrong_type_exit_one(
-    tmp_path, monkeypatch, capsys, command, instance, key, value
-):
-    # a key no command takes ("mode") is named as a malformed value is
-    monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"instance": instance, "out": str(tmp_path)} | {key: value}))
-    code = main([command, "--config", str(cfg)])
-    lines = capsys.readouterr().err.splitlines()
-    assert code == 1
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert repr(key) in lines[0] and "run.json" in lines[0]
-    # nothing is written, in the output directory or (for "out": null) anywhere else
-    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 @pytest.mark.parametrize(
-    "argv, work",
+    "argv, work, under, reason",
     [
-        (["solve", "--instance", "quadratic1d", "--max-iter", "5"], "mflow.dynamics.solve"),
-        (["check", "--instance", "quadratic1d", "--samples", "16"], "mflow.diagnostics.sample_cap"),
+        (*SOLVE_WORK, "", "File exists"),
+        (*CHECK_WORK, "", "File exists"),
+        (*SOLVE_WORK, "sub", "Not a directory"),
+        (*CHECK_WORK, "sub", "Not a directory"),
     ],
-    ids=["solve", "check"],
+    ids=["solve", "check", "solve_under_file", "check_under_file"],
 )
-def test_out_naming_a_file_exit_one(tmp_path, capsys, monkeypatch, argv, work):
+def test_out_naming_a_file_exit_one(tmp_path, capsys, monkeypatch, argv, work, under, reason):
     # the output directory cannot be made, and that is reported before the command's work
     def refuse(*args, **kwargs):
         raise AssertionError(f"{work} ran before --out was checked")
@@ -178,25 +123,13 @@ def test_out_naming_a_file_exit_one(tmp_path, capsys, monkeypatch, argv, work):
     monkeypatch.setattr(work, refuse)
     taken = tmp_path / "taken"
     taken.write_text("kept")
-    code = main(argv + ["--out", str(taken)])
+    out = taken / under if under else taken
+    code = main(argv + ["--out", str(out)])
     lines = capsys.readouterr().err.splitlines()
     assert code == 1
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert repr(str(taken)) in lines[0]
+    assert lines == [f"error: output directory {str(out)!r}: {reason}"]
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert taken.read_text() == "kept"
-
-
-def test_run_config_integral_float_is_an_integer(tmp_path):
-    # 1.6e1 and 7.0 are the integers 16 and 7, as JSON writes them
-    cfg = tmp_path / "run.json"
-    doc = {"instance": "quadratic1d", "samples": 1.6e1, "seed": 7.0}
-    cfg.write_text(json.dumps(doc | {"out": str(tmp_path / "config")}))
-    assert main(["check", "--config", str(cfg)]) == 0
-    argv = ["check", "--instance", "quadratic1d", "--samples", "16", "--seed", "7"]
-    assert main(argv + ["--out", str(tmp_path / "flags")]) == 0
-    name = "quadratic1d_checks.json"
-    assert (tmp_path / "config" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -243,7 +176,7 @@ def test_bad_numeric_argument_exit_one(tmp_path, capsys, argv):
 
 def test_seed_is_an_option_of_check_only(capsys):
     parser = build_parser()
-    assert parser.parse_args(["check", "--seed", "5"]).seed == 5
+    assert parser.parse_args(["check", "--instance", "quadratic1d", "--seed", "5"]).seed == 5
     for command in ("solve", "integrate"):
         with pytest.raises(SystemExit):
             parser.parse_args([command, "--instance", "quadratic1d", "--seed", "5"])
@@ -265,6 +198,24 @@ def test_check_has_no_tolerance_option(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["check", "--instance", "lens-drift", "--tol", "1e-9"])
     assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "integrate", "check"])
+def test_config_is_no_option(tmp_path, capsys, command):
+    # run settings are flags only; no run document is read
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({"instance": "quadratic1d", "out": str(tmp_path / "out")}))
+    argv = [command, "--instance", "quadratic1d", "--config", str(run)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert f"unrecognized arguments: --config {run}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize("command", ["solve", "integrate", "check"])
+def test_missing_instance_exit_one(tmp_path, capsys, command):
+    assert main([command, "--out", str(tmp_path)]) == 1
+    assert "the following arguments are required: --instance" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -526,8 +477,8 @@ class TestSolveCommand:
 
     def test_corrupted_config_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"instance": ')
-        code = main(["solve", "--config", str(bad), "--out", str(tmp_path)])
+        bad.write_text('{"name": ')
+        code = main(["solve", "--instance", str(bad), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 1
         assert "bad.json:1" in err
@@ -560,29 +511,6 @@ class TestSolveCommand:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{block['tag']} {key} must be positive, got {value}" in err
-
-    def test_config_file_supplies_settings(self, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(
-            json.dumps({"instance": "quadratic1d", "max_iter": 5, "out": str(tmp_path)})
-        )
-        code = main(["solve", "--config", str(cfg)])
-        assert code == 2  # five iterations cannot converge
-        summary = json.loads((tmp_path / "quadratic1d_summary.json").read_text())
-        assert summary["iterations"] == 5
-
-    def test_keys_of_other_commands_are_ignored(self, tmp_path):
-        # lambda is integrate's and samples is check's; solve runs as without them
-        base = {"instance": "quadratic3x2", "max_iter": 10}
-        for name, doc in (("plain", base), ("other", base | {"lambda": 0.5, "samples": 8})):
-            cfg = tmp_path / f"{name}.json"
-            cfg.write_text(json.dumps(doc | {"out": str(tmp_path / name)}))
-            assert main(["solve", "--config", str(cfg)]) == 2
-        for name in ("quadratic3x2_trajectory.csv", "quadratic3x2_summary.json"):
-            plain = (tmp_path / "plain" / name).read_bytes()
-            assert (tmp_path / "other" / name).read_bytes() == plain
-        summary = json.loads((tmp_path / "other" / "quadratic3x2_summary.json").read_text())
-        assert (summary["mode"], summary["lambda"]) == ("discrete", None)
 
     def test_deterministic_output_bytes(self, tmp_path):
         args = ["solve", "--instance", "quadratic3x2", "--max-iter", "200"]
