@@ -18,9 +18,7 @@ from .dynamics import (
     Trajectory,
     VectorField,
     build_field,
-    euler_defect,
     euler_eval,
-    euler_nodes,
     integrate_field,
     solve,
 )
@@ -51,7 +49,6 @@ from .problems import (
 from .space import PDPoint, as_vector
 from .splitting import (
     ProblemInstance,
-    fixed_point_operator,
     kt_operator,
     kt_residual,
 )
@@ -83,10 +80,7 @@ __all__ = [
     "check_outward_drift",
     "check_projection_conditions",
     "check_unique_zero",
-    "euler_defect",
     "euler_eval",
-    "euler_nodes",
-    "fixed_point_operator",
     "get_instance",
     "haugazeau_projection",
     "integrate_field",

@@ -23,7 +23,7 @@ from .config import ConfigError, resolve_instance
 from .geometry import EmptyIntersectionError, haugazeau_projection, haugazeau_rows
 from .problems import builtin_tags
 from .space import as_vector
-from .splitting import fixed_point_operator
+from .splitting import kt_operator
 
 log = logging.getLogger("mflow")
 
@@ -201,7 +201,7 @@ def cmd_check(args):
         if named.instance is None:
             fx = named.field(points)
         else:
-            tx = fixed_point_operator("kuhn_tucker", instance=named.instance)(points)
+            tx = kt_operator(named.instance, points)
             # the flow field Q(w, x, Tx) - x, as build_field's target evaluates it
             q = haugazeau_rows(named.cap.w, points, tx)
             fx = q - points

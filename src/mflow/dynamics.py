@@ -26,9 +26,7 @@ __all__ = [
     "VectorField",
     "Trajectory",
     "NonFiniteError",
-    "euler_nodes",
     "euler_eval",
-    "euler_defect",
     "build_field",
     "solve",
     "integrate_field",
@@ -128,12 +126,10 @@ def _integer(n):
     return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
-def _check_step(lam, n_steps=0):
-    """Reject a step size outside (0, 1] or a step count that is not an integer >= 0."""
+def _check_step(lam):
+    """Reject a step size outside (0, 1], NaN included."""
     if lam is None or not 0.0 < lam <= 1.0:
         raise ValueError(f"step size must lie in (0, 1], got {lam}")
-    if not _integer(n_steps) or n_steps < 0:
-        raise ValueError(f"number of steps must be a non-negative integer, got {n_steps!r}")
 
 
 def _check_horizon(lam, t_final):
@@ -176,23 +172,8 @@ def _iterate(advance, x, max_steps, tol_residual=-math.inf, tol_step=-math.inf):
             x = nxt
 
 
-def euler_nodes(F, x0, lam, n_steps):
-    """Euler recursion nodes ``c_0 = x0``, ``c_{k+1} = c_k + lam F(c_k)``.
-
-    ``lam`` must lie in (0, 1].  When the field declares a cap, nodes are
-    classified against it and a warning is emitted the first time one
-    leaves; under the segment-invariance assumption on the field this
-    cannot happen, so the warning flags either a field violating that
-    assumption or numerical trouble.
-
-    Returns an array of shape ``(n_steps + 1, dim)``.
-    """
-    _check_step(lam, n_steps)
-    return _euler(F, x0, lam, n_steps)[0]
-
-
 def _euler(F, x0, lam, n_steps):
-    """Nodes of :func:`euler_nodes`, and ``||F(c_k)||`` at every node."""
+    """Nodes of :func:`integrate_field`'s Euler run, and ``||F(c_k)||`` at every node."""
     use_target = lam == 1.0 and getattr(F, "target", None) is not None
 
     def advance(x):
@@ -249,21 +230,6 @@ def euler_eval(nodes, lam, t):
     if frac == 0.0:
         return nodes[k].copy()
     return nodes[k] + frac * (nodes[k + 1] - nodes[k])
-
-
-def euler_defect(F, nodes, lam, t):
-    """Defect ``F(c_k) - F(c(t))`` of the affine interpolant at time ``t``.
-
-    This is the difference between the trajectory's slope and the field
-    along it; by convention it is zero at the knots, and its sup over the
-    interval shrinks to zero with ``lam`` for uniformly continuous fields.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    k, frac = _segment(nodes, lam, t)
-    if frac == 0.0:
-        return np.zeros(nodes.shape[1])
-    chord = nodes[k + 1] - nodes[k]
-    return chord / lam - as_vector(F(nodes[k] + frac * chord))
 
 
 def build_field(inst, cap=None):
@@ -394,9 +360,17 @@ def solve(inst, max_iter=100_000, tol_residual=1e-9, tol_step=1e-12, z=None, lab
 def integrate_field(F, x0, lam, t_final, cap=None, z=None, label=""):
     """Euler-integrate a raw field on ``[0, t_final]`` and record diagnostics.
 
-    The residual column holds ``||F(x)||`` (stationarity measure).  ``cap``
-    overrides the field's declared cap for the Fejer/distance columns; when
-    neither provides anchors those columns are NaN.
+    The nodes are ``c_0 = x0``, ``c_{k+1} = c_k + lam F(c_k)`` for
+    ``ceil(t_final / lam)`` steps, with ``lam`` in (0, 1].  The residual
+    column holds ``||F(x)||`` (stationarity measure).  ``cap`` overrides the
+    field's declared cap for the Fejer/distance columns; when neither
+    provides anchors those columns are NaN.
+
+    When the field declares a cap, nodes are classified against it and a
+    warning is emitted the first time one leaves; under the
+    segment-invariance assumption on the field this cannot happen, so the
+    warning flags either a field violating that assumption or numerical
+    trouble.
     """
     _check_horizon(lam, t_final)
     cap = cap if cap is not None else getattr(F, "cap", None)

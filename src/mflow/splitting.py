@@ -1,4 +1,4 @@
-"""Primal-dual coupling operator for the composed inclusion, plus fixed-point builders.
+"""Primal-dual coupling operator for the composed inclusion.
 
 The target problem couples two maximally monotone operators through a linear
 map: find a primal point ``p`` with ``0 in A p + L* B L p``, together with a
@@ -28,7 +28,6 @@ __all__ = [
     "kt_apply_flat",
     "kt_apply_rows",
     "kt_residual",
-    "fixed_point_operator",
     "S_STAR_TOL",
 ]
 
@@ -244,71 +243,3 @@ def kt_residual(inst, x):
     """Fixed-point residual ``||Tx - x||``; zero exactly on the Kuhn-Tucker set."""
     _, resid = kt_apply_flat(inst, as_vector(x))
     return resid
-
-
-def _projection_onto_set(set_op):
-    if not isinstance(set_op, MonotoneOperator):
-        raise ValueError("'projection' expects a normal-cone operator for the set")
-    return lambda x: set_op.resolvent(1.0, x)
-
-
-def fixed_point_operator(kind, **params):
-    """Build one of the firmly quasinonexpansive operators used by the flow.
-
-    Kinds
-    -----
-    ``"projection"``
-        Metric projection onto a closed convex set, supplied as a
-        normal-cone operator (``set_op``); fixed points are the set itself.
-    ``"resolvent"``
-        ``J_{gamma A}`` of a maximally monotone ``op`` (``gamma`` defaults
-        to 1); fixed points are the zeros of ``op``.
-    ``"forward_backward"``
-        ``x -> (x + J_{gamma A}(x - gamma B x)) / 2`` for maximally monotone
-        ``op`` and a ``beta``-cocoercive single-valued ``forward`` map;
-        requires ``0 <= gamma <= 2 beta``.  Fixed points solve
-        ``0 in A x + B x``.
-    ``"kuhn_tucker"``
-        The coupling operator of a :class:`ProblemInstance` on flat vectors
-        of dimension ``dim_p + dim_v``, or on a ``(k, dim)`` stack of them,
-        one per row; fixed points are the Kuhn-Tucker pairs.
-
-    Returns
-    -------
-    callable mapping a flat vector to a flat vector.  Every kind but
-    ``"forward_backward"`` also maps a stack of rows, row by row.
-    """
-    if kind == "projection":
-        return _projection_onto_set(params["set_op"])
-
-    if kind == "resolvent":
-        op = params["op"]
-        gamma = params.get("gamma", 1.0)
-        if not gamma > 0:
-            raise ValueError(f"resolvent step must be positive, got {gamma}")
-        return lambda x: op.resolvent(gamma, x)
-
-    if kind == "forward_backward":
-        op = params["op"]
-        forward = params["forward"]
-        beta = params["beta"]
-        gamma = params["gamma"]
-        if not beta > 0:
-            raise ValueError(f"cocoercivity constant must be positive, got {beta}")
-        if not 0.0 <= gamma <= 2.0 * beta:
-            raise ValueError(f"gamma must lie in [0, {2.0 * beta}], got {gamma}")
-
-        def averaged_fb(x):
-            x = np.asarray(x, dtype=float)
-            inner_pt = x - gamma * as_vector(forward(x))
-            back = inner_pt if gamma == 0.0 else op.resolvent(gamma, inner_pt)
-            return 0.5 * (x + back)
-
-        return averaged_fb
-
-    if kind == "kuhn_tucker":
-        inst = params["instance"]
-        # not functools.partial: a rebound module-level kt_operator takes effect
-        return lambda x: kt_operator(inst, x)
-
-    raise ValueError(f"unknown fixed-point operator kind {kind!r}")

@@ -3,10 +3,13 @@
 These deliberately avoid the library's own code paths: the projection onto
 a polyhedron enumerates KKT candidates over active sets; the cut data is
 rebuilt from first principles; the graph of each catalog operator is
-written out from its definition, not from its resolvent.
+written out from its definition, not from its resolvent.  The fixed-point
+maps below are written from an operator's resolvent alone, and the Euler
+defect from the nodes alone.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -44,18 +47,28 @@ def fejer_slack(w, z, x):
 def project_polyhedron(w, normals, offsets, tol=1e-9):
     """Projection of ``w`` onto ``{h : <h, a_i> <= beta_i}`` by active-set enumeration.
 
-    Candidates: for every set of constraints with independent normals, the
-    KKT point with exactly that set active (a Gram solve; the empty set gives
-    ``w`` itself).  The closest feasible candidate is the projection.
-    Returns None when nothing feasible exists.  The enumeration is
-    exponential in the number of constraints, so it suits small cases only.
+    Each constraint is first scaled by its largest normal entry and then
+    normalised to a unit normal, so that the independence and feasibility
+    tests are scale-free; only a zero normal is dropped.  Candidates: for
+    every set of constraints with independent normals, the KKT point with
+    exactly that set active (a Gram solve; the empty set gives ``w``
+    itself).  A candidate is feasible when it violates no constraint by more
+    than the distance ``tol * (1 + ||w|| + |beta_i|)``, and the closest
+    feasible candidate is the projection.  Returns None when nothing feasible
+    exists.  The enumeration is exponential in the number of constraints, so
+    it suits small cases only.
     """
     w = np.asarray(w, float)
-    live = [
-        (np.asarray(a, float), float(beta))
-        for a, beta in zip(normals, offsets)
-        if float(a @ a) > 0.0
-    ]
+    live = []
+    for a, beta in zip(normals, offsets):
+        a = np.asarray(a, float)
+        peak = float(np.max(np.abs(a)))
+        if peak == 0.0:
+            continue
+        # by the peak first, so that the norm neither underflows nor overflows
+        a, beta = a / peak, float(beta) / peak
+        norm = float(np.linalg.norm(a))
+        live.append((a / norm, beta / norm))
     candidates = [w.copy()]
     for k in range(1, min(len(live), len(w)) + 1):
         for active in itertools.combinations(live, k):
@@ -63,16 +76,15 @@ def project_polyhedron(w, normals, offsets, tol=1e-9):
             beta = np.array([b for _, b in active])
             gram = A @ A.T
             # a dependent set's KKT point, where there is one, is also an independent set's
-            if abs(np.linalg.det(gram)) > 1e-13 * np.prod(np.diag(gram)):
+            if abs(np.linalg.det(gram)) > 1e-13:
                 candidates.append(w - A.T @ np.linalg.solve(gram, A @ w - beta))
 
-    scale = 1.0 + float(np.linalg.norm(w)) + max(
-        (abs(beta) for _, beta in live), default=0.0
-    )
+    # per row, so that one far constraint's offset does not loosen the test of the others
+    scale = 1.0 + float(np.linalg.norm(w))
     feasible = [
         h
         for h in candidates
-        if all(float(h @ a) <= beta + tol * scale for a, beta in live)
+        if all(float(h @ a) <= beta + tol * (scale + abs(beta)) for a, beta in live)
     ]
     if not feasible:
         return None
@@ -149,3 +161,35 @@ def in_graph(op, x, y, tol=1e-8):
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     return _GRAPHS[type(op).__name__](op, x, y, tol)
+
+
+def resolvent_map(op, gamma=1.0):
+    """``x -> J_{gamma A}(x)``; for a normal cone, the projection onto its set."""
+    return lambda x: op.resolvent(gamma, x)
+
+
+def forward_backward(op, forward, gamma):
+    """The averaged forward-backward map ``x -> (x + J_{gamma A}(x - gamma B x)) / 2``.
+
+    ``forward`` is ``B``, single-valued; the map's fixed points solve
+    ``0 in A x + B x``.
+    """
+
+    def averaged(x):
+        x = np.asarray(x, float)
+        return 0.5 * (x + op.resolvent(gamma, x - gamma * np.asarray(forward(x), float)))
+
+    return averaged
+
+
+def euler_defect(F, nodes, lam, t):
+    """Slope minus field of the Euler interpolant at time ``t``.
+
+    That is ``(c_{k+1} - c_k) / lam - F(c(t))`` with ``k = floor(t / lam)``
+    (the last segment at the final time), ``c(t)`` the chord's point at ``t``.
+    """
+    nodes = np.asarray(nodes, float)
+    s = t / lam
+    k = min(math.floor(s), len(nodes) - 2)
+    chord = nodes[k + 1] - nodes[k]
+    return chord / lam - np.asarray(F(nodes[k] + (s - k) * chord), float)

@@ -14,16 +14,17 @@ from mflow import (
     L1,
     PDPoint,
     Zero,
-    fixed_point_operator,
     build_field,
+    euler_eval,
     get_instance,
     haugazeau_projection,
     integrate_field,
+    kt_operator,
     kt_residual,
     solve,
 )
 
-from .oracles import two_cut_projection_oracle
+from .oracles import forward_backward, resolvent_map, two_cut_projection_oracle
 
 
 def _verdict(num, label, ok):
@@ -153,10 +154,8 @@ def test_criterion_4_euler_first_order():
     tgrid = np.linspace(0.0, 1.0, 2001)
     t0 = time.perf_counter()
     sups = []
-    from mflow import euler_eval, euler_nodes
-
     for lam in (0.2, 0.1, 0.05):
-        nodes = euler_nodes(named.extended_field, x0, lam, int(round(1.0 / lam)))
+        nodes = integrate_field(named.extended_field, x0, lam, 1.0).points
         sups.append(
             max(
                 float(np.linalg.norm(euler_eval(nodes, lam, t) - ref(t)))
@@ -258,31 +257,25 @@ def test_criterion_8_firm_quasinonexpansiveness_of_builders():
     cases = [
         (
             "projection",
-            fixed_point_operator("projection", set_op=box),
+            resolvent_map(box),
             lambda: np.clip(rng.standard_normal(2), 0.0, 1.0),
             2,
         ),
         (
             "resolvent",
-            fixed_point_operator("resolvent", op=L1()),
+            resolvent_map(L1()),
             lambda: np.zeros(2),
             2,
         ),
         (
             "forward_backward",
-            fixed_point_operator(
-                "forward_backward",
-                op=Zero(),
-                forward=lambda x: x,
-                beta=1.0,
-                gamma=1.0,
-            ),
+            forward_backward(Zero(), lambda x: x, 1.0),
             lambda: np.zeros(3),
             3,
         ),
         (
             "kuhn_tucker",
-            fixed_point_operator("kuhn_tucker", instance=named.instance),
+            lambda x: kt_operator(named.instance, x),
             lambda: named.z,
             2,
         ),

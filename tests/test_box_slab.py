@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mflow import build_field, fixed_point_operator, integrate_field, solve
+from mflow import build_field, integrate_field, kt_operator, solve
 from mflow.cli import main
 from mflow.config import instance_from_doc
 
@@ -83,6 +83,13 @@ def test_oracle_reproduces_the_projections(name):
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("size", [1e-170, 2.5e-161])
+def test_oracle_keeps_a_constraint_with_a_tiny_normal(size):
+    # a @ a underflows to 0 at 1e-170; at 2.5e-161 an absolute slack let w pass
+    got = project_polyhedron([1.0, 1.0], [np.array([size, 0.0])], [0.0])
+    assert np.array_equal(got, [0.0, 1.0])
+
+
 def test_mflow_solve_reaches_the_projection(anchor, tmp_path):
     path, pzw, code, solve_bound, _, _ = anchor
     out = tmp_path / "out"
@@ -114,10 +121,9 @@ def test_plain_iteration_settles_elsewhere_in_z(anchor):
     # the best-approximation property is what the other tests see: a plain
     # Fejer iteration of T converges into Z too, but not to P_Z w
     _, pzw, _, solve_bound, euler_bound, named = anchor
-    T = fixed_point_operator("kuhn_tucker", instance=named.instance)
     x = named.instance.x0.flat
     for _ in range(PLAIN_STEPS):
-        x = T(x)
+        x = kt_operator(named.instance, x)
     assert np.linalg.norm(project_polyhedron(x, Z_NORMALS, Z_OFFSETS) - x) <= 1e-12
     assert np.linalg.norm(x - pzw) >= PLAIN_MIN_DISTANCE > 10 * max(solve_bound, euler_bound)
 

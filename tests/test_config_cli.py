@@ -282,10 +282,9 @@ def test_overflowing_step_raises_non_finite(tmp_path):
     "run",
     [
         lambda inst: mflow.solve(inst, max_iter=50),
-        lambda inst: mflow.euler_nodes(mflow.build_field(inst), inst.x0.flat, 0.5, 50),
         lambda inst: mflow.integrate_field(mflow.build_field(inst), inst.x0.flat, 0.5, 20),
     ],
-    ids=["solve", "euler_nodes", "integrate_field"],
+    ids=["solve", "integrate_field"],
 )
 def test_overflowing_step_raises_from_every_run(tmp_path, run):
     path = tmp_path / "ovf.json"

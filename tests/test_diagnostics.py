@@ -1,4 +1,5 @@
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from mflow import (
     check_outward_drift,
     check_projection_conditions,
     check_unique_zero,
-    fixed_point_operator,
     get_instance,
+    kt_operator,
     sample_cap,
 )
 from mflow import diagnostics, geometry, splitting
@@ -25,7 +26,7 @@ from mflow.diagnostics import _rd_batches
 from mflow.dynamics import NonFiniteError
 from mflow.geometry import haugazeau_rows
 
-from .oracles import cut
+from .oracles import cut, resolvent_map
 
 
 def _at(F, z, samples):
@@ -385,9 +386,9 @@ class TestFieldCalls:
                 check(at_z, lens.cap, none)
         named = get_instance("quadratic3x2")
         none = np.empty((0, named.cap.dim))
-        T = fixed_point_operator("kuhn_tucker", instance=named.instance)
+        tq = _tq(partial(kt_operator, named.instance), named.cap, none)
         with pytest.raises(ValueError, match="at least one sample"):
-            check_projection_conditions(*_tq(T, named.cap, none), named.cap, none)
+            check_projection_conditions(*tq, named.cap, none)
 
 
 class TestUniqueZero:
@@ -486,7 +487,7 @@ class TestOutwardDrift:
 class TestProjectionConditions:
     def test_standard_cut_pair_passes(self):
         named = get_instance("quadratic1d")
-        T = fixed_point_operator("kuhn_tucker", instance=named.instance)
+        T = partial(kt_operator, named.instance)
         samples = sample_cap(named.cap, n_samples=128, seed=3)
         reports = check_projection_conditions(*_tq(T, named.cap, samples), named.cap, samples)
         assert [r.name for r in reports] == ["projection_stationarity", "projection_range"]
@@ -497,7 +498,7 @@ class TestProjectionConditions:
         w = np.array([0.8, 0.6])
         z = np.zeros(2)
         cap = Cap(w, z, 0.25)
-        T = fixed_point_operator("resolvent", op=L1())
+        T = resolvent_map(L1())
         samples = sample_cap(cap, n_samples=128, seed=4)
         reports = check_projection_conditions(*_tq(T, cap, samples), cap, samples)
         assert all(r.passed for r in reports)
@@ -522,8 +523,7 @@ class TestProjectionConditions:
         F = build_field(named.instance, cap=named.cap)
         samples = np.vstack([named.z, sample_cap(named.cap, n_samples=32, seed=4)])
         assert check_unique_zero(_at(F, named.z, samples), named.cap, samples).passed
-        T = fixed_point_operator("kuhn_tucker", instance=named.instance)
-        tq = _tq(T, named.cap, samples)
+        tq = _tq(partial(kt_operator, named.instance), named.cap, samples)
         reports = check_projection_conditions(*tq, named.cap, samples)
         # z is its own fixed point; its spurious-fixed-point entry, GEOM_TOL, is skipped
         assert reports[0].passed and reports[0].worst_violation < GEOM_TOL / 100
@@ -537,8 +537,8 @@ class TestProjectionConditions:
             check_projection_conditions(nan, nan, named.cap, samples)
 
     def test_one_call_of_T_for_all_samples(self, tmp_path, monkeypatch):
-        # mflow check calls T through kt_operator, which the benchmark traces,
-        # once, on z stacked on the samples
+        # mflow check calls kt_operator, which the benchmark traces, once, on z
+        # stacked on the samples
         calls = []
         _counted(monkeypatch, calls, splitting, "kt_operator")
         argv = ["check", "--instance", "quadratic3x2", "--samples", "32"]

@@ -9,7 +9,6 @@ from mflow import (
     ProblemInstance,
     Quadratic,
     Zero,
-    fixed_point_operator,
     get_instance,
     kt_operator,
     kt_residual,
@@ -17,7 +16,7 @@ from mflow import (
 from mflow.operators import MonotoneOperator
 from mflow.splitting import _kt_blocks, kt_apply_flat
 
-from .oracles import in_graph
+from .oracles import forward_backward, in_graph, resolvent_map
 
 
 def one_dim_instance():
@@ -194,49 +193,33 @@ class TestProblemInstanceValidation:
 
 
 class TestFixedPointOperators:
+    """The maps of criterion 8, written from resolvents, and ``T``."""
+
     def test_resolvent_kind_soft_threshold(self):
-        T = fixed_point_operator("resolvent", op=L1())
+        T = resolvent_map(L1())
         assert T([2.5]) == pytest.approx([1.5])
         # the only fixed point is the operator's zero
         assert T([0.0]) == pytest.approx([0.0])
 
     def test_forward_backward_reduces_to_half(self, rng):
-        T = fixed_point_operator(
-            "forward_backward", op=Zero(), forward=lambda x: x, beta=1.0, gamma=1.0
-        )
+        T = forward_backward(Zero(), lambda x: x, 1.0)
         for _ in range(20):
             x = rng.standard_normal(3)
             assert T(x) == pytest.approx(x / 2, abs=1e-15)
 
-    def test_forward_backward_step_bound(self):
-        with pytest.raises(ValueError):
-            fixed_point_operator(
-                "forward_backward", op=Zero(), forward=lambda x: x, beta=0.5, gamma=1.5
-            )
-        with pytest.raises(ValueError, match="cocoercivity"):
-            fixed_point_operator(
-                "forward_backward", op=Zero(), forward=lambda x: x, beta=np.nan, gamma=0.0
-            )
-
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan])
     def test_resolvent_step_must_be_positive(self, gamma):
         with pytest.raises(ValueError, match="resolvent step"):
-            fixed_point_operator("resolvent", op=L1(), gamma=gamma)
+            resolvent_map(L1(), gamma)([1.0])
 
     def test_projection_kind(self, rng):
-        box = BoxNormalCone([0.0, 0.0], [1.0, 1.0])
-        T = fixed_point_operator("projection", set_op=box)
+        T = resolvent_map(BoxNormalCone([0.0, 0.0], [1.0, 1.0]))
         assert T([2.0, -3.0]) == pytest.approx([1.0, 0.0])
         inside = rng.uniform(0.0, 1.0, size=2)
         assert T(inside) == pytest.approx(inside)
 
     def test_kuhn_tucker_kind_matches_operator(self, rng):
         inst = one_dim_instance()
-        T = fixed_point_operator("kuhn_tucker", instance=inst)
         for _ in range(50):
             x = rng.standard_normal(2)
-            assert np.array_equal(T(x), kt_apply_flat(inst, x)[0])
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            fixed_point_operator("bogus")
+            assert np.array_equal(kt_operator(inst, x), kt_apply_flat(inst, x)[0])

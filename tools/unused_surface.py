@@ -8,7 +8,7 @@ bare name, as an attribute (``dynamics.solve``), or as a string constant that
 is exactly the name, the way ``bench/spans.py`` names the functions it wraps.
 The files are parsed, so comments and docstrings do not count, and
 neither do a name's own definition and the ``__all__`` lists that export it.
-The output is informational; the script always exits 0.
+The script exits 1 when it lists a name, and 0 when it lists none.
 """
 
 import ast
@@ -66,7 +66,8 @@ def main():
     for name in unused:
         print(name)
     print(f"{len(unused)} of {len(names)} names in mflow.__all__ unused outside the tests")
+    return 1 if unused else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
