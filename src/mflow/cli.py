@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, dynamics
-from .config import ConfigError, resolve_instance
+from .config import resolve_instance
 from .geometry import EmptyIntersectionError, haugazeau_projection, haugazeau_rows
 from .problems import builtin_tags
 from .space import as_vector
@@ -46,7 +46,7 @@ def _out_path(args):
         if path.exists():
             if not path.is_dir():
                 reason = "File exists" if path == out else "Not a directory"
-                raise ConfigError(f"output directory {str(out)!r}: {reason}")
+                raise ValueError(f"output directory {str(out)!r}: {reason}")
             break
     return out
 
@@ -55,30 +55,28 @@ def _out_dir(out):
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"output directory {str(out)!r}: {exc.strerror or exc}") from exc
+        raise ValueError(f"output directory {str(out)!r}: {exc.strerror or exc}") from exc
     return out
 
 
 def _parse_lambdas(raw):
-    if raw is None:
-        raise ConfigError("missing --lambda list")
     try:
         values = [float(t) for t in raw.split(",") if t.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad --lambda list {raw!r}: {exc}") from exc
+        raise ValueError(f"bad --lambda list {raw!r}: {exc}") from exc
     if not values:
-        raise ConfigError("empty --lambda list")
+        raise ValueError("empty --lambda list")
     return values
 
 
 def cmd_solve(args):
     named = resolve_instance(args.instance)
     if named.instance is None:
-        raise ConfigError(f"instance {named.tag!r} is a raw field; use 'integrate'")
+        raise ValueError(f"instance {named.tag!r} is a raw field; use 'integrate'")
     # only the settings given are passed on; dynamics.solve holds the defaults
     stops = {
         key: getattr(args, key)
-        for key in ("max_iter", "tol_residual", "tol_step")
+        for key in ("max_iter", "tol_residual")
         if getattr(args, key) is not None
     }
     out = _out_path(args)
@@ -108,12 +106,14 @@ def cmd_integrate(args):
         dynamics._check_horizon(lam, args.t_final)
         name = f"{named.tag}_lam{lam:g}.csv"
         if name in csv_names:
-            raise ConfigError(f"step sizes {csv_names[name]!r} and {lam!r} both write {name}")
+            raise ValueError(f"step sizes {csv_names[name]!r} and {lam!r} both write {name}")
         csv_names[name] = lam
     out = _out_dir(_out_path(args))
 
-    fld = named.extended_field or named.flow_field()
-    x0 = _integration_start(args, named)
+    if named.instance is None:
+        fld, x0 = named.extended_field, named.start
+    else:
+        fld, x0 = dynamics.build_field(named.instance, cap=named.cap), named.instance.x0.flat
     references = named.references
 
     rows = []
@@ -163,37 +163,17 @@ def cmd_integrate(args):
     return EXIT_OK
 
 
-def _integration_start(args, named):
-    if named.instance is not None:
-        start = named.instance.x0.flat
-    else:
-        start = named.start if named.start is not None else getattr(named.cap, "z", None)
-    if not args.x0:
-        if start is None:
-            raise ConfigError(f"instance {named.tag!r} needs an explicit --x0")
-        return start
-    try:
-        x0 = as_vector(json.loads(args.x0))
-    except ValueError as exc:
-        raise ConfigError(f"bad --x0: {exc}") from exc
-    if start is not None and x0.shape != start.shape:
-        raise ConfigError(
-            f"--x0 has dimension {x0.shape[0]}, instance {named.tag!r} "
-            f"has dimension {start.shape[0]}"
-        )
-    return x0
-
-
 def cmd_check(args):
     named = resolve_instance(args.instance)
     if named.cap is None or named.z is None:
-        raise ConfigError(
+        raise ValueError(
             f"instance {named.tag!r} has no solution/cap attached; checks need both"
         )
-    n_samples = 512 if args.samples is None else args.samples
-    seed = 0 if args.seed is None else args.seed
+    # only the settings given are passed on; diagnostics.sample_cap holds the defaults
+    given = {"n_samples": args.samples, "seed": args.seed}
+    sampling = {key: value for key, value in given.items() if value is not None}
     out = _out_path(args)
-    samples = diagnostics.sample_cap(named.cap, n_samples=n_samples, seed=seed)
+    samples = diagnostics.sample_cap(named.cap, **sampling)
     # each map runs once, on z stacked on the samples; the checks score those values
     points = np.vstack([named.cap.z, samples])
     # a non-finite value fails the checks' own test, not a numpy warning
@@ -234,7 +214,7 @@ def cmd_project(args):
         b = as_vector(json.loads(args.b))
         c = as_vector(json.loads(args.c))
     except ValueError as exc:
-        raise ConfigError(f"points must be JSON arrays: {exc}")
+        raise ValueError(f"points must be JSON arrays: {exc}")
     # an overflowing Gram entry is recomputed from rescaled differences; an
     # overflowing difference gives a non-finite point, reported as a breakdown
     with np.errstate(over="ignore", invalid="ignore"):
@@ -267,16 +247,14 @@ def build_parser():
     add_common(p_solve)
     p_solve.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     p_solve.add_argument("--tol-residual", dest="tol_residual", type=float, default=None)
-    p_solve.add_argument("--tol-step", dest="tol_step", type=float, default=None)
     p_solve.set_defaults(fn=cmd_solve)
 
     p_int = sub.add_parser("integrate", help="Euler trajectories for a list of step sizes")
     add_common(p_int)
     p_int.add_argument(
-        "--lambda", dest="lam", default=None, help="comma-separated step sizes in (0, 1]"
+        "--lambda", dest="lam", required=True, help="comma-separated step sizes in (0, 1]"
     )
     p_int.add_argument("--t-final", dest="t_final", type=float, default=1.0)
-    p_int.add_argument("--x0", default=None, help="starting point as a JSON array")
     p_int.set_defaults(fn=cmd_integrate)
 
     p_check = sub.add_parser("check", help="run the sampled assumption checks")
@@ -312,7 +290,7 @@ def main(argv=None):
     except dynamics.NonFiniteError as exc:
         print(f"breakdown: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
-    # the one error boundary: a ConfigError, or a value the library rejects
+    # the one error boundary: a value the CLI or the library rejects
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -29,34 +29,30 @@ from .problems import (
 from .space import PDPoint, as_vector
 from .splitting import ProblemInstance
 
-__all__ = ["ConfigError", "load_json", "instance_from_doc", "resolve_instance"]
-
-
-class ConfigError(ValueError):
-    """Malformed configuration; the message carries file/line context."""
+__all__ = ["load_json", "instance_from_doc", "resolve_instance"]
 
 
 def load_json(path):
-    """Parse a JSON file, raising :class:`ConfigError` with line-precise context."""
+    """Parse a JSON file, raising ``ValueError`` with line-precise context."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
 def _require(doc, key, path):
     if key not in doc:
-        raise ConfigError(f"{path}: missing required key {key!r}")
+        raise ValueError(f"{path}: missing required key {key!r}")
     return doc[key]
 
 
 def instance_from_doc(doc, path="<config>"):
     """Build a :class:`NamedInstance` from a parsed instance document."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: instance document must be an object")
+        raise ValueError(f"{path}: instance document must be an object")
     try:
         A = operator_from_config(_require(doc, "A", path))
         B = operator_from_config(_require(doc, "B", path))
@@ -73,7 +69,7 @@ def instance_from_doc(doc, path="<config>"):
             x0=x0,
         )
     except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
     tag = str(doc.get("name", "custom"))
     if doc.get("z") is None:
@@ -81,12 +77,12 @@ def instance_from_doc(doc, path="<config>"):
     try:
         z = as_vector(doc["z"])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad solution 'z': {exc}") from exc
+        raise ValueError(f"{path}: bad solution 'z': {exc}") from exc
     frac = doc.get("floor_fraction", DEFAULT_FLOOR_FRACTION)
     try:
         return checked_instance(tag, inst, z, frac)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def resolve_instance(selector):
@@ -97,4 +93,4 @@ def resolve_instance(selector):
     try:
         return get_instance(selector)
     except KeyError as exc:
-        raise ConfigError(str(exc.args[0])) from exc
+        raise ValueError(str(exc.args[0])) from exc

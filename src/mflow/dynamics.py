@@ -271,19 +271,21 @@ def _trajectory(points, residual, termination, w, z, lam, label):
     norm_to_w = np.full(count, np.nan)
     slack = np.full(count, np.nan)
     step_norm = np.zeros(count)
-    wz_sq = None if w is None or z is None else np.sum((w - z) ** 2)
     # each column entry depends on its own row (and the one before), so
     # blocks of rows give the same bits with temporaries of one block only
     rows = max(1, _RECORD_BLOCK // points.shape[1])
-    for lo in range(0, count, rows):
-        block = slice(lo, lo + rows)
-        if w is not None:
-            dist_w_sq = np.sum((points[block] - w) ** 2, axis=1)
-            norm_to_w[block] = np.sqrt(dist_w_sq)
-            if z is not None:
-                slack[block] = wz_sq - dist_w_sq - np.sum((points[block] - z) ** 2, axis=1)
-        steps = np.diff(points[max(lo - 1, 0) : lo + rows], axis=0)
-        step_norm[max(lo, 1) : lo + rows] = np.linalg.norm(steps, axis=1)
+    # finite iterates far apart record an overflowing norm as inf, as _iterate does
+    with np.errstate(over="ignore", invalid="ignore"):
+        wz_sq = None if w is None or z is None else np.sum((w - z) ** 2)
+        for lo in range(0, count, rows):
+            block = slice(lo, lo + rows)
+            if w is not None:
+                dist_w_sq = np.sum((points[block] - w) ** 2, axis=1)
+                norm_to_w[block] = np.sqrt(dist_w_sq)
+                if z is not None:
+                    slack[block] = wz_sq - dist_w_sq - np.sum((points[block] - z) ** 2, axis=1)
+            steps = np.diff(points[max(lo - 1, 0) : lo + rows], axis=0)
+            step_norm[max(lo, 1) : lo + rows] = np.linalg.norm(steps, axis=1)
     return Trajectory(
         index=np.arange(count) * (1.0 if lam is None else lam),
         points=points,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import VectorField, build_field
+from .dynamics import VectorField
 from .geometry import Cap
 from .operators import L1, LinearMap, Quadratic, Zero
 from .space import PDPoint, as_vector
@@ -59,12 +59,6 @@ class NamedInstance:
     z: np.ndarray = None
     references: tuple = ()
     start: np.ndarray = None
-
-    def flow_field(self):
-        """The field driving the dynamics (builds it for splitting instances)."""
-        if self.instance is not None:
-            return build_field(self.instance, cap=self.cap)
-        return self.field
 
 
 def checked_instance(tag, inst, z_flat, floor_fraction):

@@ -13,6 +13,9 @@ import math
 
 import numpy as np
 
+# relative feasibility slack of the candidates that stay in the set up to rounding
+ROUNDING = 1e-12
+
 
 def cut_normals(w, b, c):
     """Normals/offsets of the two cuts anchored at (w, b, c).
@@ -52,11 +55,15 @@ def project_polyhedron(w, normals, offsets, tol=1e-9):
     tests are scale-free; only a zero normal is dropped.  Candidates: for
     every set of constraints with independent normals, the KKT point with
     exactly that set active (a Gram solve; the empty set gives ``w``
-    itself).  A candidate is feasible when it violates no constraint by more
-    than the distance ``tol * (1 + ||w|| + |beta_i|)``, and the closest
-    feasible candidate is the projection.  Returns None when nothing feasible
-    exists.  The enumeration is exponential in the number of constraints, so
-    it suits small cases only.
+    itself).  A candidate is feasible at slack ``s`` when it violates no
+    constraint by more than the distance ``s * (1 + ||w|| + |beta_i|)``.  The
+    projection is the closest candidate feasible at rounding level
+    (``s = min(tol, ROUNDING)``), or, when there is none, the closest feasible
+    at ``s = tol``: a candidate that leaves the set by more than rounding
+    (a near-parallel constraint's projection can be closer than the true one
+    and out by 4e-10) does not beat one that stays in it.  Returns None when
+    nothing is feasible at ``tol``.  The enumeration is exponential in the
+    number of constraints, so it suits small cases only.
     """
     w = np.asarray(w, float)
     live = []
@@ -81,14 +88,15 @@ def project_polyhedron(w, normals, offsets, tol=1e-9):
 
     # per row, so that one far constraint's offset does not loosen the test of the others
     scale = 1.0 + float(np.linalg.norm(w))
-    feasible = [
-        h
-        for h in candidates
-        if all(float(h @ a) <= beta + tol * (scale + abs(beta)) for a, beta in live)
-    ]
-    if not feasible:
-        return None
-    return min(feasible, key=lambda h: float(np.linalg.norm(h - w)))
+    for slack in (min(tol, ROUNDING), tol):
+        feasible = [
+            h
+            for h in candidates
+            if all(float(h @ a) <= beta + slack * (scale + abs(beta)) for a, beta in live)
+        ]
+        if feasible:
+            return min(feasible, key=lambda h: float(np.linalg.norm(h - w)))
+    return None
 
 
 def two_cut_projection_oracle(w, b, c, tol=1e-9):

@@ -9,7 +9,7 @@ import pytest
 
 import mflow
 from mflow.cli import build_parser, main
-from mflow.config import ConfigError, instance_from_doc, load_json, resolve_instance
+from mflow.config import instance_from_doc, load_json, resolve_instance
 
 INSTANCE_DOC = {
     "name": "custom1d",
@@ -33,17 +33,17 @@ class TestConfig:
 
     def test_missing_key(self):
         doc = {k: v for k, v in INSTANCE_DOC.items() if k != "gamma"}
-        with pytest.raises(ConfigError, match="gamma"):
+        with pytest.raises(ValueError, match="gamma"):
             instance_from_doc(doc)
 
     def test_bad_z_shape(self):
         doc = dict(INSTANCE_DOC, z=[0.5])
-        with pytest.raises(ConfigError, match="'z'"):
+        with pytest.raises(ValueError, match="'z'"):
             instance_from_doc(doc)
 
     def test_non_numeric_z(self):
         for bad in (["a", "b"], [float("nan"), 0.0], [0.5, float("inf")]):
-            with pytest.raises(ConfigError, match="bad solution 'z'"):
+            with pytest.raises(ValueError, match="bad solution 'z'"):
                 instance_from_doc(dict(INSTANCE_DOC, z=bad))
 
     def test_floor_fraction(self):
@@ -51,7 +51,7 @@ class TestConfig:
         assert named.cap.r == pytest.approx(0.5 * 0.5)
         # an integer beyond the float range raises OverflowError in float()
         for bad in (1.5, "abc", 10**400):
-            with pytest.raises(ConfigError, match="floor_fraction"):
+            with pytest.raises(ValueError, match="floor_fraction"):
                 instance_from_doc(dict(INSTANCE_DOC, floor_fraction=bad))
         # the anchor is the solution: no cap, and the fraction is never used
         at_z = {"p": [0.5], "v": [-0.5]}
@@ -61,7 +61,7 @@ class TestConfig:
     def test_overflowing_cap_is_named(self, tmp_path, capsys):
         # ||w - z||^2 overflows: the cap says so, and the floor fraction is not blamed
         doc = dict(INSTANCE_DOC, w={"p": [1e200], "v": [0.0]})
-        with pytest.raises(ConfigError, match="overflows") as info:
+        with pytest.raises(ValueError, match="overflows") as info:
             instance_from_doc(doc)
         assert "floor_fraction" not in str(info.value)
         path = tmp_path / "far.json"
@@ -73,17 +73,17 @@ class TestConfig:
 
     def test_malformed_fraction_is_named_when_the_gap_overflows(self):
         doc = dict(INSTANCE_DOC, w={"p": [1e200], "v": [0.0]}, floor_fraction="abc")
-        with pytest.raises(ConfigError, match="bad floor_fraction 'abc'"):
+        with pytest.raises(ValueError, match="bad floor_fraction 'abc'"):
             instance_from_doc(doc)
 
     def test_wrong_solution(self):
-        with pytest.raises(ConfigError, match="fixed-point residual"):
+        with pytest.raises(ValueError, match="fixed-point residual"):
             instance_from_doc(dict(INSTANCE_DOC, z=[0.4, -0.5]))
 
     def test_json_error_is_line_precise(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{\n  "A": [1,\n}')
-        with pytest.raises(ConfigError, match=r"bad\.json:3:1"):
+        with pytest.raises(ValueError, match=r"bad\.json:3:1"):
             load_json(bad)
 
     def test_resolve_builtin_and_file(self, tmp_path):
@@ -93,7 +93,7 @@ class TestConfig:
         path.write_text(json.dumps(INSTANCE_DOC))
         named = resolve_instance(str(path))
         assert named.tag == "custom1d"
-        with pytest.raises(ConfigError, match="built-ins"):
+        with pytest.raises(ValueError, match="built-ins"):
             resolve_instance("nope")
 
 
@@ -137,11 +137,9 @@ def test_out_naming_a_file_exit_one(tmp_path, capsys, monkeypatch, argv, work, u
     [
         ["check", "--instance", "quadratic3x2", "--seed", "-1"],
         ["solve", "--instance", "quadratic1d", "--tol-residual", "nan"],
-        ["solve", "--instance", "quadratic1d", "--tol-step", "nan"],
         ["integrate", "--instance", "lens-drift", "--lambda", "1", "--t-final", "nan"],
         ["integrate", "--instance", "lens-drift", "--lambda", "1", "--t-final", "inf"],
         ["integrate", "--instance", "lens-drift", "--lambda", "1e-10", "--t-final", "1e300"],
-        ["integrate", "--instance", "lens-drift", "--lambda", "1", "--x0", "[1,2,3]"],
         ["project", "[0,0]", "[1,0]", "[1]"],
         ["solve", "--instance", "quadratic1d", "--max-iter", "0"],
         ["check", "--instance", "quadratic3x2", "--samples", "0"],
@@ -150,11 +148,9 @@ def test_out_naming_a_file_exit_one(tmp_path, capsys, monkeypatch, argv, work, u
     ids=[
         "seed_negative",
         "tol_residual_nan",
-        "tol_step_nan",
         "t_final_nan",
         "t_final_inf",
         "t_final_over_lambda_inf",
-        "x0_dimension",
         "project_dimension",
         "max_iter_zero",
         "samples_zero",
@@ -177,9 +173,9 @@ def test_bad_numeric_argument_exit_one(tmp_path, capsys, argv):
 def test_seed_is_an_option_of_check_only(capsys):
     parser = build_parser()
     assert parser.parse_args(["check", "--instance", "quadratic1d", "--seed", "5"]).seed == 5
-    for command in ("solve", "integrate"):
+    for command in (["solve"], ["integrate", "--lambda", "0.5"]):
         with pytest.raises(SystemExit):
-            parser.parse_args([command, "--instance", "quadratic1d", "--seed", "5"])
+            parser.parse_args([*command, "--instance", "quadratic1d", "--seed", "5"])
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
@@ -200,12 +196,29 @@ def test_check_has_no_tolerance_option(capsys):
     assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--instance", "quadratic1d", "--tol-step", "1e-9"],
+        ["integrate", "--instance", "quadratic3x2", "--lambda", "0.5", "--x0", "[0,0]"],
+    ],
+    ids=["solve_tol_step", "integrate_x0"],
+)
+def test_deleted_options_exit_one(tmp_path, capsys, argv):
+    # solve's step tolerance is the library's default; an integrate run starts at
+    # the instance's own x0
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["solve", "integrate", "check"])
 def test_config_is_no_option(tmp_path, capsys, command):
     # run settings are flags only; no run document is read
     run = tmp_path / "run.json"
     run.write_text(json.dumps({"instance": "quadratic1d", "out": str(tmp_path / "out")}))
-    argv = [command, "--instance", "quadratic1d", "--config", str(run)]
+    lam = ["--lambda", "0.5"] if command == "integrate" else []
+    argv = [command, *lam, "--instance", "quadratic1d", "--config", str(run)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert f"unrecognized arguments: --config {run}" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
@@ -603,17 +616,6 @@ class TestIntegrateCommand:
             ]
         )
         assert code == 1
-
-    def test_x0_for_splitting_instance(self, tmp_path, capsys):
-        argv = ["integrate", "--instance", "quadratic3x2", "--lambda", "0.5",
-                "--t-final", "2", "--out", str(tmp_path)]
-        assert main(argv + ["--x0", "[1,2,3]"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-        # inside the admissible cap, so no node leaves it
-        x0 = (0.75 * mflow.get_instance("quadratic3x2").z).tolist()
-        assert main(argv + ["--x0", json.dumps(x0)]) == 0
-        rows = (tmp_path / "quadratic3x2_lam0.5.csv").read_text().splitlines()
-        assert [float(v) for v in rows[1].split(",")[1:6]] == x0
 
 
 class TestCheckCommand:

@@ -51,12 +51,12 @@ def jump_field(edge, value):
 
 class TestStepFiniteness:
     def test_finite_step_with_overflowing_norm_is_recorded(self):
-        # ||1e200 - x||^2 overflows, yet the next node is finite; the records' norms
-        # of that step overflow too, which is not this test's subject
-        with np.errstate(over="ignore"):
-            nodes = integrate_field(jump_field(2.0, 1e200), [0.0, 0.0], 1.0, 4.0).points
-        assert np.array_equal(nodes[:3], [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        assert np.array_equal(nodes[3:], np.full((2, 2), 1e200))
+        # ||1e200 - x||^2 overflows, yet the next node is finite; the records
+        # hold that step's norm as inf, without a numpy warning
+        traj = integrate_field(jump_field(2.0, 1e200), [0.0, 0.0], 1.0, 4.0)
+        assert np.array_equal(traj.points[:3], [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        assert np.array_equal(traj.points[3:], np.full((2, 2), 1e200))
+        assert traj.step_norm[3] == np.inf
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("edge", [0, 2, 4])

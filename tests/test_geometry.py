@@ -263,6 +263,14 @@ class TestProjectOntoHalfspaces:
             ref = project_polyhedron(w, a, beta)
             assert np.linalg.norm(row - ref) <= 1e-9 * (1.0 + np.linalg.norm(ref))
 
+    def test_enumeration_prefers_the_feasible_candidate(self):
+        # the first cut's own projection (1, -2e-5) is closer to w by 2e-10 and out of
+        # the second cut by 4e-10, inside the enumeration's default slack
+        cuts = [(np.array([-0.5, 1e-5]), -0.5), (np.array([-1.0, 0.0]), -1.0)]
+        ref = project_polyhedron([0.0, 0.0], *zip(*cuts))
+        assert np.array_equal(ref, [1.0, 0.0])
+        assert np.array_equal(project_onto_halfspaces(cuts, [0.0, 0.0]), ref)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(["general", "near_parallel", "whole", "b_is_w"]))
     def test_matches_enumeration(self, data, kind):

@@ -22,6 +22,7 @@ from mflow import (
     ProblemInstance,
     Quadratic,
     Zero,
+    build_field,
     builtin_tags,
     get_instance,
     haugazeau_projection,
@@ -291,7 +292,7 @@ def test_project_onto_halfspaces_rows_whole_space_mix():
 @given(data=st.data())
 def test_fields_rows(tag, data):
     named = get_instance(tag)
-    fields = [named.flow_field()]
+    fields = [named.field if named.instance is None else build_field(named.instance, cap=named.cap)]
     if tag == "lens-drift":
         fields.append(named.extended_field)
     dim = named.z.shape[0]
