@@ -80,11 +80,20 @@ def cmd_solve(args):
         if getattr(args, key) is not None
     }
     out = _out_path(args)
-    traj = dynamics.solve(named.instance, z=named.z, label=named.tag, **stops)
+    traj = dynamics.solve(named.instance, z=named.z, **stops)
     _out_dir(out)
     csv_path = out / f"{named.tag}_trajectory.csv"
     traj.write_csv(csv_path)
-    summary = traj.summary()
+    summary = {
+        "label": named.tag,
+        "mode": "discrete",
+        "lambda": None,
+        "termination": traj.termination,
+        "iterations": traj.iterations,
+        "final_point": traj.final.tolist(),
+        "final_residual": float(traj.residual[-1]),
+        "final_norm_to_w": float(traj.norm_to_w[-1]),
+    }
     if named.z is not None:
         summary["final_error"] = float(np.linalg.norm(traj.final - named.z))
     summary_path = out / f"{named.tag}_summary.json"
@@ -119,9 +128,7 @@ def cmd_integrate(args):
     rows = []
     sup_errors = []
     for name, lam in csv_names.items():
-        traj = dynamics.integrate_field(
-            fld, x0, lam, args.t_final, cap=named.cap, z=named.z, label=named.tag
-        )
+        traj = dynamics.integrate_field(fld, x0, lam, args.t_final, cap=named.cap)
         csv_path = out / name
         traj.write_csv(csv_path)
         row = {"lambda": lam, "steps": traj.iterations, "csv": str(csv_path)}

@@ -14,10 +14,13 @@ An instance document looks like::
       "floor_fraction": 0.25      // optional cap floor as a fraction of ||w-z||^2
     }
 
+The ``"name"`` (default ``"custom"``) prefixes every output file name, so it
+must be a single file-name component: no path separator and no NUL.
 Run settings are command-line flags only; no document carries them.
 """
 
 import json
+import os
 
 from .operators import LinearMap, operator_from_config
 from .problems import (
@@ -53,6 +56,10 @@ def instance_from_doc(doc, path="<config>"):
     """Build a :class:`NamedInstance` from a parsed instance document."""
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: instance document must be an object")
+    tag = str(doc.get("name", "custom"))
+    # the name prefixes every output file, which must land inside --out
+    if any(sep and sep in tag for sep in ("/", os.sep, os.altsep, "\0")):
+        raise ValueError(f"{path}: 'name' must be a single file-name component, got {tag!r}")
     try:
         A = operator_from_config(_require(doc, "A", path))
         B = operator_from_config(_require(doc, "B", path))
@@ -71,7 +78,6 @@ def instance_from_doc(doc, path="<config>"):
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
-    tag = str(doc.get("name", "custom"))
     if doc.get("z") is None:
         return NamedInstance(tag=tag, instance=inst)
     try:

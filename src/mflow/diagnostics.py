@@ -11,7 +11,7 @@ each map once (see :func:`build_field`); the values are checked for shape
 and finiteness.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +47,9 @@ class AssumptionReport:
     passed: bool
     sample_count: int
     worst_violation: float
-    witness: np.ndarray = None
-    violations: list = field(default_factory=list)
-    notes: str = ""
+    witness: np.ndarray
+    violations: list
+    notes: str
 
     def to_dict(self):
         return {

@@ -63,9 +63,9 @@ class VectorField:
 class Trajectory:
     """Ordered iterate records with per-step diagnostics.
 
-    ``index`` holds the iteration counter for the discrete scheme (``lam`` None)
-    and the time for Euler runs.  ``fejer_slack`` is NaN when no reference
-    solution is attached.
+    ``index`` holds the iteration counter for the discrete scheme and the
+    time for Euler runs.  ``fejer_slack`` is NaN when no reference solution
+    is attached.
     """
 
     index: np.ndarray
@@ -75,12 +75,6 @@ class Trajectory:
     residual: np.ndarray
     step_norm: np.ndarray
     termination: str
-    lam: float = None
-    label: str = ""
-
-    @property
-    def mode(self):
-        return "discrete" if self.lam is None else "euler"
 
     @property
     def final(self):
@@ -89,18 +83,6 @@ class Trajectory:
     @property
     def iterations(self):
         return self.points.shape[0] - 1
-
-    def summary(self):
-        return {
-            "label": self.label,
-            "mode": self.mode,
-            "lambda": self.lam,
-            "termination": self.termination,
-            "iterations": self.iterations,
-            "final_point": self.final.tolist(),
-            "final_residual": float(self.residual[-1]),
-            "final_norm_to_w": float(self.norm_to_w[-1]),
-        }
 
     def write_csv(self, path):
         """Write records as CSV: ``np.savetxt``'s ``%.17g`` bytes, one ``%`` per block of rows."""
@@ -256,7 +238,7 @@ def build_field(inst, cap=None):
     )
 
 
-def _trajectory(points, residual, termination, w, z, lam, label):
+def _trajectory(points, residual, termination, w, z, lam):
     """Records of a run from its iterates, with the diagnostic columns added.
 
     ``points`` are the iterates in order, indexed by count or, for Euler runs
@@ -294,12 +276,10 @@ def _trajectory(points, residual, termination, w, z, lam, label):
         residual=np.array(residual, dtype=float),
         step_norm=step_norm,
         termination=termination,
-        lam=lam,
-        label=label,
     )
 
 
-def solve(inst, max_iter=100_000, tol_residual=1e-9, tol_step=1e-12, z=None, label=""):
+def solve(inst, max_iter=100_000, tol_residual=1e-9, tol_step=1e-12, z=None):
     """Run the best-approximation iteration ``x_{n+1} = Q(w, x_n, T x_n)`` on an instance.
 
     Its Euler relaxation is ``integrate_field(build_field(inst, cap), x0, lam, t_final)``.
@@ -316,8 +296,6 @@ def solve(inst, max_iter=100_000, tol_residual=1e-9, tol_step=1e-12, z=None, lab
         Stop once the iterate displacement falls below this.
     z : array_like, optional
         Known solution; enables the Fejer-slack column of the records.
-    label : str
-        Carried into the trajectory metadata.
 
     Returns
     -------
@@ -356,17 +334,18 @@ def solve(inst, max_iter=100_000, tol_residual=1e-9, tol_step=1e-12, z=None, lab
         )
     # stacked before the records are built, so the list of iterates is freed first
     points = np.asarray(points)
-    return _trajectory(points, residuals, termination, w_flat, z_flat, None, label)
+    return _trajectory(points, residuals, termination, w_flat, z_flat, None)
 
 
-def integrate_field(F, x0, lam, t_final, cap=None, z=None, label=""):
+def integrate_field(F, x0, lam, t_final, cap=None):
     """Euler-integrate a raw field on ``[0, t_final]`` and record diagnostics.
 
     The nodes are ``c_0 = x0``, ``c_{k+1} = c_k + lam F(c_k)`` for
     ``ceil(t_final / lam)`` steps, with ``lam`` in (0, 1].  The residual
-    column holds ``||F(x)||`` (stationarity measure).  ``cap`` overrides the
-    field's declared cap for the Fejer/distance columns; when neither
-    provides anchors those columns are NaN.
+    column holds ``||F(x)||`` (stationarity measure).  The cap supplies both
+    anchors of the record columns: its ``w`` for the distance column and its
+    ``z`` for the Fejer column.  ``cap`` overrides the field's declared cap;
+    when neither gives one, those columns are NaN.
 
     When the field declares a cap, nodes are classified against it and a
     warning is emitted the first time one leaves; under the
@@ -377,7 +356,6 @@ def integrate_field(F, x0, lam, t_final, cap=None, z=None, label=""):
     _check_horizon(lam, t_final)
     cap = cap if cap is not None else getattr(F, "cap", None)
     n_steps = int(np.ceil(t_final / lam - 1e-12))
-    w_flat = cap.w if cap is not None else None
-    z_flat = as_vector(z) if z is not None else (cap.z if cap is not None else None)
+    w_flat, z_flat = (None, None) if cap is None else (cap.w, cap.z)
     nodes, residuals = _euler(F, x0, lam, n_steps)
-    return _trajectory(nodes, residuals, "t_final", w_flat, z_flat, lam, label)
+    return _trajectory(nodes, residuals, "t_final", w_flat, z_flat, lam)

@@ -38,6 +38,8 @@ ORACLE_RESIDUAL_TOL = 1e-9
 DEFAULT_FLOOR_FRACTION = 0.25
 # Resolvent steps of both blocks of every built-in family.
 STEP = 0.5
+# Consistency tolerance of the sign-pattern screens of the lasso oracle.
+_LASSO_TOL = 1e-11
 
 
 @dataclass(eq=False)
@@ -140,7 +142,7 @@ def quadratic_instance(p0, q0, L, tag="quadratic"):
     return checked_instance(tag, inst, z_flat, DEFAULT_FLOOR_FRACTION)
 
 
-def _lasso_oracle(b, M, reg, tol=1e-11):
+def _lasso_oracle(b, M, reg):
     """Solve ``min 0.5 ||p - b||^2 + reg ||L p||_1`` by sign-pattern enumeration.
 
     For each sign pattern of ``L p`` the stationarity system is linear;
@@ -172,11 +174,11 @@ def _lasso_oracle(b, M, reg, tol=1e-11):
             p = rhs_base
         y = M @ p
         if inactive.any():
-            if np.any(np.abs(u[inactive]) > reg + tol):
+            if np.any(np.abs(u[inactive]) > reg + _LASSO_TOL):
                 continue
-            if np.any(np.abs(y[inactive]) > tol * (1.0 + np.abs(y).max())):
+            if np.any(np.abs(y[inactive]) > _LASSO_TOL * (1.0 + np.abs(y).max())):
                 continue
-        if active.any() and np.any(y[active] * s[active] < -tol):
+        if active.any() and np.any(y[active] * s[active] < -_LASSO_TOL):
             continue
         return p, u
     raise RuntimeError("sign enumeration found no consistent pattern")
@@ -246,7 +248,8 @@ def _on_branch_curve(x1, x2):
     return abs(x2 - (np.expm1(-s) + s)) <= _BRANCH_TOL
 
 
-def _in_notched_box(x1, x2, tol=1e-12):
+def _in_notched_box(x1, x2):
+    tol = _BRANCH_TOL
     if not (-tol <= x1 <= 1.0 + tol and -1.0 - tol <= x2 <= tol):
         return False
     return x1 * x1 + (x2 + 1.0) ** 2 >= 1.0 - tol

@@ -55,8 +55,10 @@ def project_polyhedron(w, normals, offsets, tol=1e-9):
     tests are scale-free; only a zero normal is dropped.  Candidates: for
     every set of constraints with independent normals, the KKT point with
     exactly that set active (a Gram solve; the empty set gives ``w``
-    itself).  A candidate is feasible at slack ``s`` when it violates no
-    constraint by more than the distance ``s * (1 + ||w|| + |beta_i|)``.  The
+    itself).  A candidate ``h`` is feasible at slack ``s`` when it violates no
+    constraint by more than the distance ``s * (1 + ||w|| + ||h|| + |beta_i|)``:
+    the Gram solve's rounding grows with the candidate's own norm, so a corner
+    far from ``w`` is held to the same relative slack as one near it.  The
     projection is the closest candidate feasible at rounding level
     (``s = min(tol, ROUNDING)``), or, when there is none, the closest feasible
     at ``s = tol``: a candidate that leaves the set by more than rounding
@@ -87,13 +89,14 @@ def project_polyhedron(w, normals, offsets, tol=1e-9):
                 candidates.append(w - A.T @ np.linalg.solve(gram, A @ w - beta))
 
     # per row, so that one far constraint's offset does not loosen the test of the others
-    scale = 1.0 + float(np.linalg.norm(w))
+    w_norm = 1.0 + float(np.linalg.norm(w))
     for slack in (min(tol, ROUNDING), tol):
-        feasible = [
-            h
-            for h in candidates
-            if all(float(h @ a) <= beta + slack * (scale + abs(beta)) for a, beta in live)
-        ]
+        feasible = []
+        for h in candidates:
+            # ||h|| without squaring, which overflows at the far corners of tiny normals
+            scale = w_norm + float(np.hypot.reduce(h))
+            if all(float(h @ a) <= beta + slack * (scale + abs(beta)) for a, beta in live):
+                feasible.append(h)
         if feasible:
             return min(feasible, key=lambda h: float(np.linalg.norm(h - w)))
     return None

@@ -65,10 +65,9 @@ def criterion2_runs():
                 tol_residual=1e-13,
                 tol_step=1e-15,
                 z=named.z,
-                label=label,
             )
             elapsed = time.perf_counter() - t0
-            runs.append((named, traj, elapsed))
+            runs.append((named, label, traj, elapsed))
     return runs
 
 
@@ -77,11 +76,9 @@ def criterion5_runs():
     """Unit-step Euler vs discrete trajectories, shared with criterion 3."""
     named = get_instance("quadratic3x2")
     kw = dict(max_iter=120, tol_residual=1e-16, tol_step=1e-16, z=named.z)
-    discrete = solve(named.instance, label="c5-discrete", **kw)
+    discrete = solve(named.instance, **kw)
     field = build_field(named.instance, cap=named.cap)
-    euler = integrate_field(
-        field, named.instance.x0.flat, 1.0, discrete.iterations, label="c5-euler"
-    )
+    euler = integrate_field(field, named.instance.x0.flat, 1.0, discrete.iterations)
     return named, discrete, euler
 
 
@@ -116,19 +113,19 @@ def test_criterion_2_fixed_point_and_convergence(criterion2_runs):
         ok &= resid <= 1e-9
         details.append(f"{tag} oracle resid {resid:.1e}")
     per_instance_time = {}
-    for named, traj, elapsed in criterion2_runs:
+    for named, label, traj, elapsed in criterion2_runs:
         errs = np.linalg.norm(traj.points - named.z, axis=1)
         reached = float(errs.min())
         ok &= reached <= 1e-6 and traj.iterations <= 10_000
         per_instance_time.setdefault(named.tag, 0.0)
         per_instance_time[named.tag] += elapsed
-        details.append(f"{traj.label} err {reached:.1e}@{int(errs.argmin())}")
+        details.append(f"{label} err {reached:.1e}@{int(errs.argmin())}")
     ok &= all(t < 10.0 for t in per_instance_time.values())
     assert _verdict(2, "; ".join(details), ok)
 
 
 def test_criterion_3_monotonicity_and_fejer(criterion2_runs, criterion5_runs):
-    trajectories = [traj for _, traj, _ in criterion2_runs]
+    trajectories = [traj for _, _, traj, _ in criterion2_runs]
     _, discrete, euler = criterion5_runs
     trajectories += [discrete, euler]
     worst_mono = 0.0

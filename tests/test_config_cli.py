@@ -132,6 +132,24 @@ def test_out_naming_a_file_exit_one(tmp_path, capsys, monkeypatch, argv, work, u
     assert taken.read_text() == "kept"
 
 
+@pytest.mark.parametrize("name", ["sub/run", "../escaped", "nul\0name"], ids=["sub", "up", "nul"])
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--max-iter", "5"], ["integrate", "--lambda", "0.5"], ["check", "--samples", "16"]],
+    ids=["solve", "integrate", "check"],
+)
+def test_name_with_a_separator_exit_one(tmp_path, capsys, argv, name):
+    # the name prefixes every output file; one with a separator would leave --out
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(INSTANCE_DOC, name=name)))
+    code = main(argv + ["--instance", str(path), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "doc.json" in lines[0] and "'name'" in lines[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -480,6 +498,27 @@ class TestSolveCommand:
         assert summary["termination"] == "residual"
         assert summary["final_error"] <= 1e-6
         assert (tmp_path / "quadratic1d_trajectory.csv").exists()
+
+    def test_summary_keys_and_run_fields(self, tmp_path):
+        argv = ["solve", "--instance", "quadratic1d", "--max-iter", "20", "--out", str(tmp_path)]
+        main(argv)
+        summary = json.loads((tmp_path / "quadratic1d_summary.json").read_text())
+        assert list(summary) == [
+            "label",
+            "mode",
+            "lambda",
+            "termination",
+            "iterations",
+            "final_point",
+            "final_residual",
+            "final_norm_to_w",
+            "final_error",
+        ]
+        assert (summary["label"], summary["mode"], summary["lambda"]) == (
+            "quadratic1d",
+            "discrete",
+            None,
+        )
 
     def test_budget_exhausted_exit_two(self, tmp_path):
         code = main(

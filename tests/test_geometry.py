@@ -281,6 +281,17 @@ class TestProjectOntoHalfspaces:
         # an opposing pair this close to parallel meets far from w, where the
         # enumeration's Gram solve cannot resolve the corner
         assume(inner > 0.0 or sin2 > 1e-6)
+        self.check_against_enumeration(w, cuts, kind)
+
+    def test_far_corner_matches_enumeration(self):
+        # an opposing pair (sin^2 = 8.6e-4) whose corner lies 1.6e7 from w, where the
+        # Gram solve's rounding exceeds a slack not scaled by the candidate's norm
+        w = np.array([-0.958, 0.463])
+        cuts = [(np.array([0.01089, 0.04640]), 0.01110), (np.array([-19.19, -94.07]), -4.41e7)]
+        self.check_against_enumeration(w, cuts, "general")
+
+    @staticmethod
+    def check_against_enumeration(w, cuts, kind):
         got = project_onto_halfspaces(cuts, w)
         # the enumeration's feasibility tolerance is in distance units on unit normals
         norms = [np.linalg.norm(n) for n, _ in cuts]
