@@ -15,7 +15,8 @@ An instance document looks like::
     }
 
 The ``"name"`` (default ``"custom"``) prefixes every output file name, so it
-must be a single file-name component: no path separator and no NUL.
+must be a single file-name component: a non-empty string with no path
+separator and no NUL.
 Run settings are command-line flags only; no document carries them.
 """
 
@@ -56,9 +57,11 @@ def instance_from_doc(doc, path="<config>"):
     """Build a :class:`NamedInstance` from a parsed instance document."""
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: instance document must be an object")
-    tag = str(doc.get("name", "custom"))
+    tag = doc.get("name", "custom")
     # the name prefixes every output file, which must land inside --out
-    if any(sep and sep in tag for sep in ("/", os.sep, os.altsep, "\0")):
+    if not (isinstance(tag, str) and tag) or any(
+        sep and sep in tag for sep in ("/", os.sep, os.altsep, "\0")
+    ):
         raise ValueError(f"{path}: 'name' must be a single file-name component, got {tag!r}")
     try:
         A = operator_from_config(_require(doc, "A", path))

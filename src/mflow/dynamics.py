@@ -323,10 +323,10 @@ def solve(inst, max_iter=100_000, tol_residual=1e-9, tol_step=1e-12, z=None):
     w_flat = inst.w.flat
     z_flat = None if z is None else as_vector(z)
 
-    with _product_worker(inst.L) as pool:
+    with _product_worker(inst.L) as worker:
 
         def advance(x):
-            tx, resid = kt_apply_flat(inst, x, pool=pool)
+            tx, resid = kt_apply_flat(inst, x, worker=worker)
             return haugazeau_projection(w_flat, x, tx), resid
 
         points, residuals, termination = _iterate(

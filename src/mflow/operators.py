@@ -5,7 +5,7 @@ resolvent ``J(gamma, x)``, the unique ``y`` with ``(x - y)/gamma`` in ``A(y)``,
 i.e. the standard ``(Id + gamma A)^{-1}``.  A graph point of ``A`` is
 ``(J(gamma, x), (x - J(gamma, x)) / gamma)``, the resolvent paired with the
 Yosida approximation; callers compute the second entry inline, as
-``splitting._kt_blocks`` does.
+``splitting._primal_chain`` and ``splitting._dual_chain`` do.
 
 Resolvents and linear maps take one point (a 1-D array) or a stack of
 points (a ``(k, dim)`` array, one point per row) and map each row as they

@@ -13,8 +13,10 @@ operator projects the current point onto it.
 """
 
 import contextlib
+import contextvars
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +37,13 @@ __all__ = [
 # the projection formula would otherwise divide by a vanishing norm.
 S_STAR_TOL = 1e-12
 
-# Below about one core's L2 cache, an L's two products run faster on one thread
-# than with one of them handed to a second: the hand-off costs more than it
-# saves.  Full solve steps crossed over between 2.2 and 2.7 MiB of L on a
-# 2-vCPU Xeon with 2 MiB of L2 per vCPU; 3 MiB clears that.
-_OVERLAP_MIN_BYTES = 3 * 2**20
+# Below about one core's L2 cache, a Kuhn-Tucker evaluation runs faster on one
+# thread than with its dual chain handed to a second: the hand-off costs more
+# than it saves.  Full solve steps on a 2-vCPU Xeon with 2 MiB of L2 per vCPU
+# lost in every run up to 1.37 MiB of L, were mixed from 1.56 MiB, won in most
+# runs from 1.87 MiB and in every run from 2.2 MiB on; 2 MiB sits above the
+# crossover.
+_OVERLAP_MIN_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +113,15 @@ def _usable_cpus():
 
 @contextlib.contextmanager
 def _product_worker(L):
-    """A one-thread pool for :func:`_products`, or None where overlapping would not pay.
+    """A one-thread server for :func:`_dual_chain`, or None where overlapping would not pay.
 
     It pays only for an ``L`` of at least ``_OVERLAP_MIN_BYTES``, with a
     second CPU for this process and BLAS on one thread per product; a
     multithreaded BLAS already spreads each product over the cores.  The
-    pool is shut, and its thread joined, on exit.
+    server is a ``(jobs, results)`` pair of queues; each job is one dual
+    chain, run in a copy of the submitter's context (so numpy's ``errstate``
+    holds there too), and its result or exception comes back on
+    ``results``.  On exit the thread is stopped and joined.
     """
     if not (
         L.matrix.nbytes >= _OVERLAP_MIN_BYTES
@@ -123,27 +130,47 @@ def _product_worker(L):
     ):
         yield None
         return
-    # imported here: a plain import of mflow starts no thread and loads no executor
-    from concurrent.futures import ThreadPoolExecutor
+    # imported here: a plain import of mflow loads no queue module
+    from queue import SimpleQueue
 
-    with ThreadPoolExecutor(1, thread_name_prefix="mflow-L") as pool:
-        yield pool
+    jobs, results = SimpleQueue(), SimpleQueue()
+
+    def serve():
+        while (job := jobs.get()) is not None:
+            context, args = job
+            try:
+                results.put((context.run(_dual_chain, *args), None))
+            except BaseException as exc:  # raised again by the caller; none may leave it waiting
+                results.put((None, exc))
+
+    thread = threading.Thread(target=serve, name="mflow-L", daemon=True)
+    thread.start()
+    try:
+        yield jobs, results
+    finally:
+        jobs.put(None)
+        thread.join()
 
 
-def _products(L, x, y, pool):
-    """``(L x, L* y)``; with a pool, ``L x`` runs on its worker while this thread computes ``L* y``.
-
-    Each product is the same BLAS call on the same data either way, so the
-    bits do not depend on the pool.
-    """
-    if pool is None:
-        return L.apply(x), L.adjoint(y)
-    lx = pool.submit(L.apply, x)
-    lty = L.adjoint(y)
-    return lx.result(), lty
+def _primal_chain(inst, p, v):
+    """``L* v -> a = J_{gamma A}(p - gamma L* v) -> a* -> L a``; returns ``(a, a_star, L a)``."""
+    L, gamma = inst.L, inst.gamma
+    ua = p - gamma * L.adjoint(v)
+    a = inst.A.resolvent(gamma, ua)
+    a_star = (ua - a) / gamma
+    return a, a_star, L.apply(a)
 
 
-def _kt_blocks(inst, p, v, pool=None):
+def _dual_chain(inst, p, v):
+    """``L p -> b = J_{mu B}(L p + mu v) -> b* -> L* b*``; returns ``(b, b_star, L* b*)``."""
+    L, mu = inst.L, inst.mu
+    ub = L.apply(p) + mu * v
+    b = inst.B.resolvent(mu, ub)
+    b_star = (ub - b) / mu
+    return b, b_star, L.adjoint(b_star)
+
+
+def _kt_blocks(inst, p, v, worker=None):
     """Block resolvents and the separating cut at (p, v).
 
     ``p`` and ``v`` are one point's blocks, or stacks of them with one point
@@ -154,20 +181,26 @@ def _kt_blocks(inst, p, v, pool=None):
 
     ``a_star``/``b_star`` are the Yosida companions, and the cut is
     ``s = (a_star + L* b_star, b - L a)`` with level ``eta = <a, a_star> +
-    <b, b_star>``.  The two independent products before the resolvents, and
-    the two after, go through :func:`_products` with ``pool``.
+    <b, b_star>``.  The two blocks are independent until the cut: with a
+    ``worker`` of :func:`_product_worker`, :func:`_dual_chain` runs on it
+    while this thread runs :func:`_primal_chain`.  Each chain makes the same
+    calls on the same data on either thread, so the bits do not depend on
+    the worker.
     """
-    L, gamma, mu = inst.L, inst.gamma, inst.mu
-    lp, ltv = _products(L, p, v, pool)
-    ua = p - gamma * ltv
-    a = inst.A.resolvent(gamma, ua)
-    a_star = (ua - a) / gamma
-
-    ub = lp + mu * v
-    b = inst.B.resolvent(mu, ub)
-    b_star = (ub - b) / mu
-
-    la, ltb_star = _products(L, a, b_star, pool)
+    if worker is None:
+        a, a_star, la = _primal_chain(inst, p, v)
+        b, b_star, ltb_star = _dual_chain(inst, p, v)
+    else:
+        jobs, results = worker
+        jobs.put((contextvars.copy_context(), (inst, p, v)))
+        try:
+            a, a_star, la = _primal_chain(inst, p, v)
+        finally:
+            # collected even when the primal chain raises, so that no result is left behind
+            dual, exc = results.get()
+        if exc is not None:
+            raise exc
+        b, b_star, ltb_star = dual
     s_flat = np.concatenate([a_star + ltb_star, b - la], axis=-1)
     if p.ndim == 1:
         # @, not .dot as on flat vectors: a block may have one element (see LinearMap.apply)
@@ -208,15 +241,15 @@ def kt_operator(inst, x):
     return kt_apply_flat(inst, x)[0]
 
 
-def kt_apply_flat(inst, x_flat, *, pool=None):
+def kt_apply_flat(inst, x_flat, *, worker=None):
     """Coupling-operator evaluation on a flat vector, with its residual.
 
     Used by the iteration loops.  Returns ``(tx_flat, residual)`` with
     residual ``||Tx - x||``; an unmoved point comes back as ``x`` itself.
-    ``pool`` is a worker of :func:`_product_worker`, or None; it moves no bit.
+    ``worker`` is one of :func:`_product_worker`, or None; it moves no bit.
     """
     n = inst.dim_p
-    _, _, _, _, s_flat, eta = _kt_blocks(inst, x_flat[:n], x_flat[n:], pool)
+    _, _, _, _, s_flat, eta = _kt_blocks(inst, x_flat[:n], x_flat[n:], worker)
     return _cut_projection(x_flat, s_flat, eta)
 
 

@@ -132,14 +132,28 @@ def test_out_naming_a_file_exit_one(tmp_path, capsys, monkeypatch, argv, work, u
     assert taken.read_text() == "kept"
 
 
-@pytest.mark.parametrize("name", ["sub/run", "../escaped", "nul\0name"], ids=["sub", "up", "nul"])
-@pytest.mark.parametrize(
+NAMED_COMMANDS = pytest.mark.parametrize(
     "argv",
     [["solve", "--max-iter", "5"], ["integrate", "--lambda", "0.5"], ["check", "--samples", "16"]],
     ids=["solve", "integrate", "check"],
 )
+
+
+@pytest.mark.parametrize("name", ["sub/run", "../escaped", "nul\0name"], ids=["sub", "up", "nul"])
+@NAMED_COMMANDS
 def test_name_with_a_separator_exit_one(tmp_path, capsys, argv, name):
     # the name prefixes every output file; one with a separator would leave --out
+    assert_bad_name_exit_one(tmp_path, capsys, argv, name)
+
+
+@pytest.mark.parametrize("name", [None, 7, ["run"], ""], ids=["null", "number", "list", "empty"])
+@NAMED_COMMANDS
+def test_name_that_is_no_nonempty_string_exit_one(tmp_path, capsys, argv, name):
+    # the name prefixes every output file, so it must be a string, and not an empty one
+    assert_bad_name_exit_one(tmp_path, capsys, argv, name)
+
+
+def assert_bad_name_exit_one(tmp_path, capsys, argv, name):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(dict(INSTANCE_DOC, name=name)))
     code = main(argv + ["--instance", str(path), "--out", str(tmp_path / "out")])

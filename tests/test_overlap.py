@@ -1,10 +1,12 @@
-"""The two ``L`` products of a Kuhn-Tucker evaluation run on two threads without moving a bit.
+"""The two blocks of a Kuhn-Tucker evaluation run on two threads without moving a bit.
 
-``solve`` hands ``L p`` and ``L a`` to one worker thread while it computes
-``L* v`` and ``L* b*`` itself, when ``L`` is large, a second CPU is there and
-BLAS runs one thread per product.  The tests force each path and compare;
+``solve`` hands each evaluation's dual chain (``L p``, ``B``'s resolvent,
+``L* b*``) to one worker thread while it runs the primal chain (``L* v``,
+``A``'s resolvent, ``L a``) itself, when ``L`` is large, a second CPU is there
+and BLAS runs one thread per product.  The tests force each path and compare;
 run under ``OPENBLAS_NUM_THREADS=1``, the wide-solve test also sees the rule
-itself take the overlapped path.
+itself take the overlapped path, and under ``taskset -c 0`` the rule's
+one-CPU branch.
 
 The forced overlaps use ``L`` of fewer than 9,216 entries, below which a default
 OpenBLAS computes a matrix-vector product on one thread whatever its thread
@@ -16,6 +18,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ import pytest
 from mflow import (
     L1,
     LinearMap,
+    NonFiniteError,
     PDPoint,
     ProblemInstance,
     Quadratic,
@@ -34,6 +38,7 @@ from mflow import (
 from mflow import splitting
 
 NO_STOP = 1e-300
+WORKER = "mflow-L"
 
 
 def force(monkeypatch, overlap):
@@ -43,17 +48,17 @@ def force(monkeypatch, overlap):
     monkeypatch.setattr(splitting, "_blas_threads", lambda: 1)
 
 
-def spy_pools(monkeypatch):
-    """Record, per product pair, whether it ran with a worker."""
-    pooled = []
-    products = splitting._products
+def spy_workers(monkeypatch):
+    """Record, per Kuhn-Tucker evaluation, whether its dual chain ran on the worker thread."""
+    on_worker = []
+    dual_chain = splitting._dual_chain
 
-    def spy(L, x, y, pool):
-        pooled.append(pool is not None)
-        return products(L, x, y, pool)
+    def spy(inst, p, v):
+        on_worker.append(threading.current_thread().name == WORKER)
+        return dual_chain(inst, p, v)
 
-    monkeypatch.setattr(splitting, "_products", spy)
-    return pooled
+    monkeypatch.setattr(splitting, "_dual_chain", spy)
+    return on_worker
 
 
 def run(inst, max_iter=40, z=None):
@@ -69,9 +74,9 @@ def assert_paths_bitwise_equal(monkeypatch, inst, z=None):
     for overlap in (False, True):
         with monkeypatch.context() as m:
             force(m, overlap)
-            pooled = spy_pools(m)
+            on_worker = spy_workers(m)
             runs[overlap] = run(inst, z=z)
-            assert set(pooled) == {overlap}
+            assert set(on_worker) == {overlap}
     for serial, overlapped in zip(records(runs[False]), records(runs[True])):
         assert overlapped.tobytes() == serial.tobytes()
 
@@ -114,14 +119,53 @@ def test_wide_solve_takes_the_path_of_the_rule(monkeypatch, rng):
     L = rng.standard_normal((m, n)) / np.sqrt(n)
     assert L.nbytes >= splitting._OVERLAP_MIN_BYTES
     named = quadratic_instance(rng.standard_normal(n), rng.standard_normal(m), L)
-    pooled = spy_pools(monkeypatch)
+    on_worker = spy_workers(monkeypatch)
     ruled = run(named.instance, max_iter=10, z=named.z)
     engaged = splitting._usable_cpus() >= 2 and splitting._blas_threads() == 1
-    assert set(pooled) == {engaged}
+    assert set(on_worker) == {engaged}
     monkeypatch.setattr(splitting, "_OVERLAP_MIN_BYTES", np.inf)
     serial = run(named.instance, max_iter=10, z=named.z)
     for a, b in zip(records(ruled), records(serial)):
         assert a.tobytes() == b.tobytes()
+
+
+class RecordingQuadratic(Quadratic):
+    """A quadratic block that records the name of the thread of each resolvent call."""
+
+    def __init__(self, b):
+        super().__init__(b)
+        self.threads = []
+
+    def resolvent(self, gamma, x):
+        self.threads.append(threading.current_thread().name)
+        return super().resolvent(gamma, x)
+
+
+def test_worker_runs_the_dual_resolvent_and_the_caller_the_primal(monkeypatch, rng):
+    force(monkeypatch, overlap=True)
+    L = small_matrix("C", rng)
+    w = PDPoint(rng.standard_normal(90), rng.standard_normal(40))
+    A, B = RecordingQuadratic(rng.standard_normal(90)), RecordingQuadratic(rng.standard_normal(40))
+    inst = ProblemInstance(A=A, B=B, L=LinearMap(L), gamma=0.5, mu=0.5, w=w, x0=w)
+    run(inst, max_iter=5)
+    assert len(A.threads) == len(B.threads) == 6
+    assert set(A.threads) == {threading.current_thread().name}
+    assert set(B.threads) == {WORKER}
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_an_overflowing_step_raises_the_same_error_on_either_path(monkeypatch, rng, overlap):
+    force(monkeypatch, overlap)
+    # unscaled, so that L p overflows at x0
+    L = rng.standard_normal((40, 90))
+    named = quadratic_instance(rng.standard_normal(90), rng.standard_normal(40), L)
+    huge = PDPoint(np.full(90, 1e307), np.full(40, 1e307))
+    inst = dataclasses.replace(named.instance, x0=huge)
+    # the worker runs in the caller's errstate, so its products warn no more than the caller's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="the step from iterate 0 is not finite"):
+            solve(inst, max_iter=5)
 
 
 class RaisingQuadratic(Quadratic):
@@ -155,6 +199,15 @@ def test_no_thread_outlives_a_solve(monkeypatch, rng):
     with pytest.raises(RuntimeError, match="resolvent failed"):
         run(failing)
     assert failing.B.threads_at_failure == before + 1
+    assert threading.active_count() == before
+
+    # the caller raises while the worker's dual chain is in flight
+    failing = dataclasses.replace(
+        named.instance, A=RaisingQuadratic(named.instance.A.b, fail_at=5)
+    )
+    with pytest.raises(RuntimeError, match="resolvent failed"):
+        run(failing)
+    assert failing.A.threads_at_failure == before + 1
     assert threading.active_count() == before
 
 
@@ -192,8 +245,8 @@ def test_worker_only_under_all_three_conditions(monkeypatch, cpus, blas, nbytes,
     monkeypatch.setattr(splitting, "_blas_threads", lambda: blas)
     L = LinearMap(np.ones((nbytes // 8 // 512, 512)))
     before = threading.active_count()
-    with splitting._product_worker(L) as pool:
-        assert (pool is not None) == overlaps
+    with splitting._product_worker(L) as worker:
+        assert (worker is not None) == overlaps
     assert threading.active_count() == before
 
 
@@ -201,18 +254,19 @@ def test_worker_only_under_all_three_conditions(monkeypatch, cpus, blas, nbytes,
 def test_builtins_start_no_thread(monkeypatch, tag):
     monkeypatch.setattr(splitting, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(splitting, "_blas_threads", lambda: 1)
-    pooled = spy_pools(monkeypatch)
+    on_worker = spy_workers(monkeypatch)
     run(get_instance(tag).instance, max_iter=5)
-    assert pooled and not any(pooled)
+    assert on_worker and not any(on_worker)
 
 
 def test_import_starts_no_thread_and_loads_no_executor():
     code = (
         "import sys, threading; n = threading.active_count(); import mflow; "
-        "print(threading.active_count() - n, 'concurrent.futures' in sys.modules)"
+        "print(threading.active_count() - n, 'concurrent.futures' in sys.modules, "
+        "'queue' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.split() == ["0", "False"]
+    assert out.stdout.split() == ["0", "False", "False"]
