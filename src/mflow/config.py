@@ -10,13 +10,14 @@ An instance document looks like::
       "gamma": 0.5, "mu": 0.5,
       "w":  {"p": [0.0], "v": [0.0]},
       "x0": {"p": [0.0], "v": [0.0]},
-      "z":  [0.5, -0.5],          // optional solution; must pass the residual check
-      "floor_fraction": 0.25      // optional cap floor as a fraction of ||w-z||^2
+      "z":  [0.5, -0.5]           // optional solution; must pass the residual check
     }
 
-The ``"name"`` (default ``"custom"``) prefixes every output file name, so it
-must be a single file-name component: a non-empty string with no path
-separator and no NUL.
+Only these keys are read, and only ``"p"`` and ``"v"`` in a point; any other
+key is an error.  ``"x0"`` defaults to ``"w"``, and the cap's floor is
+``0.25 * ||w - z||^2``.  The ``"name"`` (default ``"custom"``) prefixes every
+output file name, so it must be a single file-name component: a non-empty
+string with no path separator and no NUL.
 Run settings are command-line flags only; no document carries them.
 """
 
@@ -24,16 +25,14 @@ import json
 import os
 
 from .operators import LinearMap, operator_from_config
-from .problems import (
-    DEFAULT_FLOOR_FRACTION,
-    NamedInstance,
-    checked_instance,
-    get_instance,
-)
+from .problems import NamedInstance, checked_instance, get_instance
 from .space import PDPoint, as_vector
 from .splitting import ProblemInstance
 
 __all__ = ["load_json", "instance_from_doc", "resolve_instance"]
+
+# the keys an instance document may hold
+_KEYS = ("name", "A", "B", "L", "gamma", "mu", "w", "x0", "z")
 
 
 def load_json(path):
@@ -47,36 +46,47 @@ def load_json(path):
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def _require(doc, key, path):
+def _require(doc, key):
     if key not in doc:
-        raise ValueError(f"{path}: missing required key {key!r}")
+        raise ValueError(f"missing required key {key!r}")
     return doc[key]
+
+
+def _reject_unknown_keys(doc, keys, where):
+    """Reject the first key of ``doc`` outside ``keys``."""
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r}{where}")
+
+
+def _point(doc, key):
+    """The :class:`PDPoint` of the point object ``doc[key]``."""
+    point = _require(doc, key)
+    if isinstance(point, dict):
+        _reject_unknown_keys(point, ("p", "v"), f" in {key!r}")
+    return PDPoint(point["p"], point["v"])
 
 
 def instance_from_doc(doc, path="<config>"):
     """Build a :class:`NamedInstance` from a parsed instance document."""
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: instance document must be an object")
-    tag = doc.get("name", "custom")
-    # the name prefixes every output file, which must land inside --out
-    if not (isinstance(tag, str) and tag) or any(
-        sep and sep in tag for sep in ("/", os.sep, os.altsep, "\0")
-    ):
-        raise ValueError(f"{path}: 'name' must be a single file-name component, got {tag!r}")
     try:
-        A = operator_from_config(_require(doc, "A", path))
-        B = operator_from_config(_require(doc, "B", path))
-        L = LinearMap(_require(doc, "L", path))
-        w = PDPoint.from_json_dict(_require(doc, "w", path))
-        x0 = PDPoint.from_json_dict(doc.get("x0", _require(doc, "w", path)))
+        _reject_unknown_keys(doc, _KEYS, "")
+        tag = doc.get("name", "custom")
+        # the name prefixes every output file, which must land inside --out
+        if not (isinstance(tag, str) and tag) or any(
+            sep and sep in tag for sep in ("/", os.sep, os.altsep, "\0")
+        ):
+            raise ValueError(f"'name' must be a single file-name component, got {tag!r}")
         inst = ProblemInstance(
-            A=A,
-            B=B,
-            L=L,
-            gamma=float(_require(doc, "gamma", path)),
-            mu=float(_require(doc, "mu", path)),
-            w=w,
-            x0=x0,
+            A=operator_from_config(_require(doc, "A")),
+            B=operator_from_config(_require(doc, "B")),
+            L=LinearMap(_require(doc, "L")),
+            gamma=float(_require(doc, "gamma")),
+            mu=float(_require(doc, "mu")),
+            w=_point(doc, "w"),
+            x0=_point(doc, "x0" if "x0" in doc else "w"),
         )
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -87,9 +97,8 @@ def instance_from_doc(doc, path="<config>"):
         z = as_vector(doc["z"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad solution 'z': {exc}") from exc
-    frac = doc.get("floor_fraction", DEFAULT_FLOOR_FRACTION)
     try:
-        return checked_instance(tag, inst, z, frac)
+        return checked_instance(tag, inst, z)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -167,7 +167,7 @@ def _euler(F, x0, lam, n_steps):
         fx = np.asarray(F(x), dtype=float)
         return x + lam * fx, math.sqrt(fx.dot(fx))
 
-    points, field_norms, _ = _iterate(advance, as_vector(x0), n_steps)
+    points, field_norms, _ = _iterate(advance, x0, n_steps)
     nodes = np.array(points)
     cap = getattr(F, "cap", None)
     if cap is not None:
@@ -246,9 +246,6 @@ def _trajectory(points, residual, termination, w, z, lam):
     ``fejer_slack`` is NaN unless both ``w`` and ``z`` are given.
     """
     points = np.asarray(points, dtype=float)
-    for name, v in (("w", w), ("z", z)):
-        if v is not None and v.shape != points.shape[1:]:
-            raise ValueError(f"{name} has shape {v.shape}, not that of the iterates")
     count = points.shape[0]
     norm_to_w = np.full(count, np.nan)
     slack = np.full(count, np.nan)
@@ -322,6 +319,8 @@ def solve(inst, max_iter=100_000, tol_residual=1e-9, tol_step=1e-12, z=None):
 
     w_flat = inst.w.flat
     z_flat = None if z is None else as_vector(z)
+    if z_flat is not None and z_flat.shape != (inst.dim,):
+        raise ValueError(f"z has shape {z_flat.shape}, expected ({inst.dim},)")
 
     with _product_worker(inst.L) as worker:
 
@@ -355,6 +354,9 @@ def integrate_field(F, x0, lam, t_final, cap=None):
     """
     _check_horizon(lam, t_final)
     cap = cap if cap is not None else getattr(F, "cap", None)
+    x0 = as_vector(x0)
+    if cap is not None and cap.w.shape != x0.shape:
+        raise ValueError(f"the cap's w has shape {cap.w.shape}, not x0's {x0.shape}")
     n_steps = int(np.ceil(t_final / lam - 1e-12))
     w_flat, z_flat = (None, None) if cap is None else (cap.w, cap.z)
     nodes, residuals = _euler(F, x0, lam, n_steps)

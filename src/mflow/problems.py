@@ -35,7 +35,8 @@ __all__ = [
 ]
 
 ORACLE_RESIDUAL_TOL = 1e-9
-DEFAULT_FLOOR_FRACTION = 0.25
+# The cap's floor as a fraction of ||w - z||^2.
+FLOOR_FRACTION = 0.25
 # Resolvent steps of both blocks of every built-in family.
 STEP = 0.5
 # Consistency tolerance of the sign-pattern screens of the lasso oracle.
@@ -63,11 +64,11 @@ class NamedInstance:
     start: np.ndarray = None
 
 
-def checked_instance(tag, inst, z_flat, floor_fraction):
+def checked_instance(tag, inst, z_flat):
     """The tagged instance with solution ``z_flat`` and its admissible cap.
 
     ``z_flat`` must have the instance's dimension and pass the fixed-point
-    residual.  The cap's floor is ``floor_fraction * ||w - z||^2``; there is
+    residual.  The cap's floor is ``FLOOR_FRACTION * ||w - z||^2``; there is
     no cap when ``w == z``, since the anchor is then the solution and there
     is no region to bound.
     """
@@ -86,16 +87,7 @@ def checked_instance(tag, inst, z_flat, floor_fraction):
         )
     with np.errstate(over="ignore"):  # Cap reports an overflowing gap
         gap_sq = float(np.sum((inst.w.flat - z_flat) ** 2))
-    cap = fraction = None
-    if gap_sq != 0.0:
-        try:
-            fraction = float(floor_fraction)
-            cap = Cap(inst.w.flat, z_flat, fraction * gap_sq)
-        except (TypeError, ValueError, OverflowError) as exc:
-            # a fraction that converts leaves an overflowing gap the anchor pair's fault
-            if fraction is not None and gap_sq == np.inf:
-                raise
-            raise ValueError(f"bad floor_fraction {floor_fraction!r}: {exc}") from exc
+    cap = None if gap_sq == 0.0 else Cap(inst.w.flat, z_flat, FLOOR_FRACTION * gap_sq)
     return NamedInstance(tag=tag, instance=inst, cap=cap, z=z_flat)
 
 
@@ -139,7 +131,7 @@ def quadratic_instance(p0, q0, L, tag="quadratic"):
     inst = ProblemInstance(
         A=Quadratic(p0), B=Quadratic(q0), L=L, gamma=STEP, mu=STEP, w=w, x0=w
     )
-    return checked_instance(tag, inst, z_flat, DEFAULT_FLOOR_FRACTION)
+    return checked_instance(tag, inst, z_flat)
 
 
 def _lasso_oracle(b, M, reg):
@@ -201,7 +193,7 @@ def lasso_instance(b, L, reg, tag="lasso"):
     w = PDPoint(np.zeros(b.shape[0]), np.zeros(L.shape[0]))
     B = Zero() if reg == 0 else L1(reg)
     inst = ProblemInstance(A=Quadratic(b), B=B, L=L, gamma=STEP, mu=STEP, w=w, x0=w)
-    return checked_instance(tag, inst, z_flat, DEFAULT_FLOOR_FRACTION)
+    return checked_instance(tag, inst, z_flat)
 
 
 def lens_drift():

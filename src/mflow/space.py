@@ -71,9 +71,5 @@ class PDPoint:
             raise ValueError(f"dim_p={dim_p} incompatible with flat dim {flat.size}")
         return cls(flat[:dim_p], flat[dim_p:])
 
-    @classmethod
-    def from_json_dict(cls, doc):
-        return cls(doc["p"], doc["v"])
-
     def __repr__(self):
         return f"PDPoint(p={self.p.tolist()}, v={self.v.tolist()})"

@@ -174,12 +174,12 @@ def _kt_blocks(inst, p, v, worker=None):
     """Block resolvents and the separating cut at (p, v).
 
     ``p`` and ``v`` are one point's blocks, or stacks of them with one point
-    per row; eta is then one level per row.  Returns
-    ``(a, b, a_star, b_star, s_flat, eta)`` where
+    per row; eta is then one level per row.  Returns the cut
+    ``(s_flat, eta)``: with
 
         a = J_{gamma A}(p - gamma L* v),    b = J_{mu B}(L p + mu v),
 
-    ``a_star``/``b_star`` are the Yosida companions, and the cut is
+    and their Yosida companions ``a_star``/``b_star``, the cut is
     ``s = (a_star + L* b_star, b - L a)`` with level ``eta = <a, a_star> +
     <b, b_star>``.  The two blocks are independent until the cut: with a
     ``worker`` of :func:`_product_worker`, :func:`_dual_chain` runs on it
@@ -207,7 +207,7 @@ def _kt_blocks(inst, p, v, worker=None):
         eta = float(a @ a_star + b @ b_star)
     else:
         eta = np.vecdot(a, a_star) + np.vecdot(b, b_star)
-    return a, b, a_star, b_star, s_flat, eta
+    return s_flat, eta
 
 
 def _cut_projection(x_flat, s_flat, eta):
@@ -249,7 +249,7 @@ def kt_apply_flat(inst, x_flat, *, worker=None):
     ``worker`` is one of :func:`_product_worker`, or None; it moves no bit.
     """
     n = inst.dim_p
-    _, _, _, _, s_flat, eta = _kt_blocks(inst, x_flat[:n], x_flat[n:], worker)
+    s_flat, eta = _kt_blocks(inst, x_flat[:n], x_flat[n:], worker)
     return _cut_projection(x_flat, s_flat, eta)
 
 
@@ -260,7 +260,7 @@ def kt_apply_rows(inst, x_rows):
     result bit for bit, and rows with no cut keep ``x`` exactly.
     """
     n = inst.dim_p
-    _, _, _, _, s_rows, eta = _kt_blocks(inst, x_rows[:, :n], x_rows[:, n:])
+    s_rows, eta = _kt_blocks(inst, x_rows[:, :n], x_rows[:, n:])
     s_norm_sq = np.vecdot(s_rows, s_rows)
     viol = np.vecdot(x_rows, s_rows) - eta
     # negated, so that a NaN cut moves the row to NaN as in _cut_projection

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,13 +29,17 @@ class TestConfig:
     def test_instance_from_doc(self):
         named = instance_from_doc(INSTANCE_DOC)
         assert named.tag == "custom1d"
-        assert named.cap is not None
+        assert named.cap.r == 0.25 * 0.5  # the floor is 0.25 ||w - z||^2
         assert np.array_equal(named.z, [0.5, -0.5])
+        # the anchor is the solution: no cap
+        at_z = {"p": [0.5], "v": [-0.5]}
+        assert instance_from_doc(dict(INSTANCE_DOC, w=at_z, x0=at_z)).cap is None
 
     def test_missing_key(self):
         doc = {k: v for k, v in INSTANCE_DOC.items() if k != "gamma"}
-        with pytest.raises(ValueError, match="gamma"):
-            instance_from_doc(doc)
+        # the file is named once
+        with pytest.raises(ValueError, match=r"^doc\.json: missing required key 'gamma'$"):
+            instance_from_doc(doc, "doc.json")
 
     def test_bad_z_shape(self):
         doc = dict(INSTANCE_DOC, z=[0.5])
@@ -46,35 +51,16 @@ class TestConfig:
             with pytest.raises(ValueError, match="bad solution 'z'"):
                 instance_from_doc(dict(INSTANCE_DOC, z=bad))
 
-    def test_floor_fraction(self):
-        named = instance_from_doc(dict(INSTANCE_DOC, floor_fraction=0.5))
-        assert named.cap.r == pytest.approx(0.5 * 0.5)
-        # an integer beyond the float range raises OverflowError in float()
-        for bad in (1.5, "abc", 10**400):
-            with pytest.raises(ValueError, match="floor_fraction"):
-                instance_from_doc(dict(INSTANCE_DOC, floor_fraction=bad))
-        # the anchor is the solution: no cap, and the fraction is never used
-        at_z = {"p": [0.5], "v": [-0.5]}
-        doc = dict(INSTANCE_DOC, w=at_z, x0=at_z, floor_fraction=1.5)
-        assert instance_from_doc(doc).cap is None
-
     def test_overflowing_cap_is_named(self, tmp_path, capsys):
-        # ||w - z||^2 overflows: the cap says so, and the floor fraction is not blamed
+        # ||w - z||^2 overflows: the cap says so
         doc = dict(INSTANCE_DOC, w={"p": [1e200], "v": [0.0]})
-        with pytest.raises(ValueError, match="overflows") as info:
+        with pytest.raises(ValueError, match="overflows"):
             instance_from_doc(doc)
-        assert "floor_fraction" not in str(info.value)
         path = tmp_path / "far.json"
         path.write_text(json.dumps(doc))
         assert main(["check", "--instance", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "overflows" in err, err
-        assert "floor_fraction" not in err
-
-    def test_malformed_fraction_is_named_when_the_gap_overflows(self):
-        doc = dict(INSTANCE_DOC, w={"p": [1e200], "v": [0.0]}, floor_fraction="abc")
-        with pytest.raises(ValueError, match="bad floor_fraction 'abc'"):
-            instance_from_doc(doc)
 
     def test_wrong_solution(self):
         with pytest.raises(ValueError, match="fixed-point residual"):
@@ -151,6 +137,32 @@ def test_name_with_a_separator_exit_one(tmp_path, capsys, argv, name):
 def test_name_that_is_no_nonempty_string_exit_one(tmp_path, capsys, argv, name):
     # the name prefixes every output file, so it must be a string, and not an empty one
     assert_bad_name_exit_one(tmp_path, capsys, argv, name)
+
+
+# "x0" misspelled as "xo": were it ignored, the run would start at w
+MISSPELLED_X0_DOC = {k: v for k, v in INSTANCE_DOC.items() if k != "x0"}
+MISSPELLED_X0_DOC["xo"] = {"p": [0.25], "v": [0.0]}
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        (dict(INSTANCE_DOC, floor_fraction=0.5), "'floor_fraction'"),
+        (MISSPELLED_X0_DOC, "'xo'"),
+        (dict(INSTANCE_DOC, w={"p": [0.0], "v": [0.0], "q": [0.0]}), "'q' in 'w'"),
+        (dict(INSTANCE_DOC, x0={"p": [0.0], "vv": [0.0]}), "'vv' in 'x0'"),
+    ],
+    ids=["floor_fraction", "misspelled_x0", "extra_point_key", "misspelled_point_key"],
+)
+def test_unknown_key_exit_one(tmp_path, capsys, doc, key):
+    # a key that is not read is an error, not a silently different cap or start
+    with pytest.raises(ValueError, match=re.escape(f"doc.json: unknown key {key}")):
+        instance_from_doc(doc, "doc.json")
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["solve", "--instance", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: unknown key {key}"]
 
 
 def assert_bad_name_exit_one(tmp_path, capsys, argv, name):

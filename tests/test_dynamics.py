@@ -23,6 +23,7 @@ from mflow import (
     solve,
 )
 from mflow.config import instance_from_doc
+from mflow.splitting import kt_apply_flat
 
 from .oracles import euler_defect, fejer_slack
 from .test_box_slab import ANCHORS, _doc
@@ -477,6 +478,30 @@ class TestRecordColumns:
         F, start = named.extended_field, named.start
         with pytest.raises(ValueError, match="w has shape"):
             integrate_field(F, start, 0.5, 1.0, cap=get_instance("quadratic3x2").cap)
+
+    def test_wrong_shape_z_fails_before_the_first_step(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kt_apply_flat(*args, **kwargs)
+
+        monkeypatch.setattr("mflow.dynamics.kt_apply_flat", counted)
+        inst = get_instance("quadratic3x2").instance
+        with pytest.raises(ValueError, match="z has shape"):
+            solve(inst, max_iter=50, z=[0.0, 1.0])
+        assert calls == []
+
+    def test_wrong_shape_cap_fails_before_the_first_step(self):
+        calls = []
+
+        def field(x):
+            calls.append(1)
+            return -x
+
+        with pytest.raises(ValueError, match="w has shape"):
+            integrate_field(field, np.ones(5), 0.5, 1.0, cap=get_instance("lens-drift").cap)
+        assert calls == []
 
     @staticmethod
     def check_columns(traj, cap):

@@ -31,5 +31,6 @@ def test_pdpoint_immutable():
 
 
 def test_pdpoint_json_round_trip():
-    y = PDPoint.from_json_dict(json.loads('{"p": [1.5, -2.0], "v": [0.25]}'))
+    doc = json.loads('{"p": [1.5, -2.0], "v": [0.25]}')
+    y = PDPoint(doc["p"], doc["v"])
     assert np.array_equal(y.flat, [1.5, -2.0, 0.25])

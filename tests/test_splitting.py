@@ -14,7 +14,7 @@ from mflow import (
     kt_residual,
 )
 from mflow.operators import MonotoneOperator
-from mflow.splitting import _kt_blocks, kt_apply_flat
+from mflow.splitting import _dual_chain, _kt_blocks, _primal_chain, kt_apply_flat
 
 from .oracles import forward_backward, in_graph, resolvent_map
 
@@ -37,7 +37,10 @@ Z_BAR = np.array([0.5, -0.5])
 
 def blocks(inst, x):
     """``(a, b, a_star, b_star, s_star, eta)`` of the cut at the flat point ``x``."""
-    return _kt_blocks(inst, x[: inst.dim_p], x[inst.dim_p :])
+    p, v = x[: inst.dim_p], x[inst.dim_p :]
+    a, a_star, _ = _primal_chain(inst, p, v)
+    b, b_star, _ = _dual_chain(inst, p, v)
+    return (a, b, a_star, b_star, *_kt_blocks(inst, p, v))
 
 
 class TestKTOperator:

@@ -1,4 +1,4 @@
-"""Print each ``mflow.__all__`` name and ``mflow`` flag that no code outside the tests uses.
+"""Print each ``mflow.__all__`` name, ``mflow`` flag and document key unused outside the tests.
 
     python3 tools/unused_surface.py
 
@@ -10,9 +10,13 @@ The flags are the option strings of the ``add_argument`` calls in
 ``src/mflow/cli.py``; a flag counts as used when some Python file under
 ``bench/`` or ``tools/`` holds it as a whole string constant, the way
 ``bench/workloads.py`` and ``tools/output_digests.py`` pass flags.
+The instance-document keys are the strings of ``_KEYS`` in
+``src/mflow/config.py``; a key counts as used by the same rule as a flag,
+the way ``bench/workloads.py`` and ``tools/output_digests.py`` write
+instance documents.
 The files are parsed, so comments and docstrings do not count, and
 neither do a name's own definition and the ``__all__`` lists that export it.
-The script exits 1 when it lists a name or a flag, and 0 when it lists none.
+The script exits 1 when it lists a name, a flag or a key, and 0 when it lists none.
 """
 
 import ast
@@ -21,22 +25,22 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 INIT = HERE / "src" / "mflow" / "__init__.py"
 CLI = HERE / "src" / "mflow" / "cli.py"
+CONFIG = HERE / "src" / "mflow" / "config.py"
 
 
-def is_all(node):
-    """Whether ``node`` is an assignment to ``__all__``."""
+def assigns(node, name):
+    """Whether ``node`` is an assignment to the plain name ``name``."""
     return isinstance(node, ast.Assign) and any(
-        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        isinstance(t, ast.Name) and t.id == name for t in node.targets
     )
 
 
-def exported():
-    """The names in ``mflow.__all__``, read from the package's ``__init__``."""
-    tree = ast.parse(INIT.read_text())
-    for node in tree.body:
-        if is_all(node):
+def constant(path, name):
+    """The literal assigned to ``name`` in the module at ``path``."""
+    for node in ast.parse(path.read_text()).body:
+        if assigns(node, name):
             return ast.literal_eval(node.value)
-    raise SystemExit("src/mflow/__init__.py has no __all__")
+    raise SystemExit(f"{path.relative_to(HERE)} has no {name}")
 
 
 def declared_flags():
@@ -59,7 +63,7 @@ def used_names(tree):
         # docstrings, and the __all__ lists that export names rather than use them
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
             skipped.add(id(node.value))
-        if is_all(node):
+        if assigns(node, "__all__"):
             skipped.update(id(n) for n in ast.walk(node.value))
     used = set()
     for node in ast.walk(tree):
@@ -80,15 +84,19 @@ def main():
         for path in sorted((HERE / top).rglob("*.py")):
             if path != INIT:
                 used[top] |= used_names(ast.parse(path.read_text(), filename=str(path)))
-    names = exported()
+    names = constant(INIT, "__all__")
     unused = [name for name in names if name not in set().union(*used.values())]
+    passed = used["bench"] | used["tools"]
     flags = declared_flags()
-    unused_flags = [flag for flag in flags if flag not in used["bench"] | used["tools"]]
-    for item in unused + unused_flags:
+    unused_flags = [flag for flag in flags if flag not in passed]
+    keys = constant(CONFIG, "_KEYS")
+    unused_keys = [key for key in keys if key not in passed]
+    for item in unused + unused_flags + unused_keys:
         print(item)
     print(f"{len(unused)} of {len(names)} names in mflow.__all__ unused outside the tests")
     print(f"{len(unused_flags)} of {len(flags)} mflow flags unused in bench/ and tools/")
-    return 1 if unused or unused_flags else 0
+    print(f"{len(unused_keys)} of {len(keys)} instance-document keys unused in bench/ and tools/")
+    return 1 if unused or unused_flags or unused_keys else 0
 
 
 if __name__ == "__main__":
